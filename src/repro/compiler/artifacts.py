@@ -78,7 +78,7 @@ class CompiledApplication:
     # -- metrics -----------------------------------------------------------------------
 
     def summary(self) -> Dict[str, int]:
-        """Simple size metrics used by the compiler benchmark and EXPERIMENTS.md."""
+        """Simple size metrics used by the compiler benchmark (``benchmarks/test_bench_fig14_compiler.py``)."""
         class_definitions = [
             line for line in self.module_source.splitlines() if line.startswith("class ")
         ]

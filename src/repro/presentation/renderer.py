@@ -20,8 +20,10 @@ reactivation keeps unaffected subtrees' table objects alive, so a write to
 ``grades`` no longer evicts cached pages that only read ``courses`` — the
 fingerprints of untouched subtrees are simply unchanged.  The coarse mode
 (``dependency_tracking=False``) reproduces the old behaviour of keying on
-the engine-global state version.  The cache is LRU-bounded; see
-``docs/caching.md``.
+the engine-global state version.  The cache holds **one entry per
+(instance, PUnit)** — a new version of a fragment overwrites the old one —
+is LRU-bounded, and sweeps out entries of instances the forest no longer
+knows whenever it has doubled since the last sweep; see ``docs/caching.md``.
 """
 
 from __future__ import annotations
@@ -112,7 +114,11 @@ class PageRenderer:
         )
         self.fragment_cache_size = fragment_cache_size
         self.stats = RenderStats()
-        self._fragment_cache: "OrderedDict[Tuple, str]" = OrderedDict()
+        #: (instance id, PUnit name) -> (stamp, html): the fragment as last
+        #: rendered, valid while the stamp is the instance's current one.
+        self._fragment_cache: "OrderedDict[Tuple, Tuple[int, str]]" = OrderedDict()
+        #: Size right after the last sweep of dead instances' entries.
+        self._swept_size = 0
         #: Guards the fragment cache and its hit/miss counters when several
         #: request threads render concurrently (see docs/concurrency.md).
         self._cache_lock = threading.Lock()
@@ -153,30 +159,46 @@ class PageRenderer:
                 stamp = self._fingerprint(instance, _memo)
             else:
                 stamp = self.engine.state_version
-            cache_key = (instance.instance_id, punit_name, stamp)
+            cache_key = (instance.instance_id, punit_name)
             with self._cache_lock:
                 cached = self._fragment_cache.get(cache_key)
-                if cached is not None:
+                if cached is not None and cached[0] == stamp:
                     self._fragment_cache.move_to_end(cache_key)
                     self.stats.hits += 1
-                    return cached
+                    return cached[1]
                 self.stats.misses += 1
 
         fragment = self._render_fragment(instance, punit_name, _memo)
 
         if self.cache_fragments:
             with self._cache_lock:
-                self._fragment_cache[cache_key] = fragment
-                self._fragment_cache.move_to_end(cache_key)
+                cache = self._fragment_cache
+                cache[cache_key] = (stamp, fragment)
+                cache.move_to_end(cache_key)
                 if self.fragment_cache_size is not None:
-                    while len(self._fragment_cache) > self.fragment_cache_size:
-                        self._fragment_cache.popitem(last=False)
+                    while len(cache) > self.fragment_cache_size:
+                        cache.popitem(last=False)
                         self.stats.evictions += 1
+                if len(cache) > 2 * self._swept_size + 64:
+                    self._sweep_dead()
         return fragment
+
+    def _sweep_dead(self) -> None:
+        """Drop the fragments of instances that left the forest.
+
+        Runs when the cache has doubled since the last sweep, so its cost
+        is amortised O(1) per stored fragment and the cache stays within
+        twice the live forest (plus slack) whatever the LRU bound.
+        """
+        forest = self.engine.forest
+        for key in [key for key in self._fragment_cache if not forest.has_instance(key[0])]:
+            del self._fragment_cache[key]
+        self._swept_size = len(self._fragment_cache)
 
     def clear_cache(self) -> None:
         with self._cache_lock:
             self._fragment_cache.clear()
+            self._swept_size = 0
 
     # -- internals -----------------------------------------------------------------
 

@@ -11,30 +11,35 @@ difference: an instance whose label already existed before the return phase
 and which did not return keeps its local-table contents and its instance ID.
 That prior state is supplied to the builder as a *preservation map*.
 
-Two dependency-tracking optimizations ride on the construction
-(``docs/caching.md``):
+Reactivation is **proportional to the change** (``docs/caching.md`` § 4):
+every activation query consults the engine's activation cache, each instance
+records per activator one ``(table, version)`` vector per *query*
+(:class:`~repro.runtime.instance.ActivatorRecord`), new children are matched
+to the old tree's by label, and four rules decide what work is done:
 
-* every activation query consults the engine's **activation cache**, keyed
-  on the version vector of the tables the query's plan reads, so a write to
-  an unrelated table no longer invalidates the memoised rows;
-* **delta reactivation** — while building, each instance records per
-  activator the ``(table, version)`` vector its activation and input
-  queries read.  On a rebuild, an activator whose recorded versions are all
-  unchanged must produce the identical child set with identical input
-  tables, so the old child instances are *reused* (re-parented as-is when
-  their own subtrees are also clean, or rebuilt shallowly around adopted
-  input tables when only a deeper subtree changed) instead of recomputed.
-  Reused instances keep their IDs and table objects, which both preserves
-  the first-committer-wins conflict semantics and keeps the renderer's
-  fragment fingerprints stable.
+1. **keep what came out equal** — a recomputed input table equal to the old
+   child's is replaced by the *old* ``Table`` object, stamp and all, so
+   everything below stays valid and clean old subtrees are re-parented;
+2. **do not run what cannot have changed** — a *flat* input assignment
+   whose vector is unmoved, for a child with the same full activation
+   tuple, adopts the old table without executing;
+3. **do not visit who cannot be affected** — the engine skips bystander
+   sessions whose root is ``fully_tracked`` while no persistent table moved;
+4. **run once what is asked twice** — within one pass (:meth:`sharing`) a
+   flat assignment over the same tuple and vector runs once, shared.
+
+With dependency tracking or delta reactivation off every vector is absent:
+everything executes and nothing is adopted, on the same path.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING
+import dataclasses
+from contextlib import contextmanager
+from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING
 
-from repro.errors import ActivationError, UnknownTableError
-from repro.hilda.ast import ActivatorDecl, Assignment, AUnitDecl
+from repro.errors import ActivationError, HandlerError, UnknownTableError
+from repro.hilda.ast import ActivatorDecl, AUnitDecl
 from repro.relational.table import Table
 from repro.runtime.context import (
     DictCatalog,
@@ -42,19 +47,20 @@ from repro.runtime.context import (
     make_activation_tuple_table,
     run_assignments,
 )
-from repro.runtime.instance import AUnitInstance, InstanceLabel, activation_key
+from repro.runtime.instance import (
+    ActivatorRecord,
+    AUnitInstance,
+    DepVector,
+    InstanceLabel,
+    activation_key,
+)
+from repro.sql.ast import FunctionCall
 
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.engine import HildaEngine
 
 __all__ = ["ActivationBuilder", "PreservedInstance", "dep_vector", "deps_current"]
-
-#: A dependency version vector: ``((table name, version), ...)`` sorted by name.
-DepVector = Tuple[Tuple[str, int], ...]
-
-#: Sentinel distinguishing "never recorded" from "recorded as uncacheable".
-_NO_RECORD = object()
 
 
 def dep_vector(names, catalog) -> Optional[DepVector]:
@@ -78,6 +84,30 @@ def deps_current(deps: DepVector, catalog) -> bool:
         if table.version != version:
             return False
     return True
+
+
+def _function_called(node: Any) -> Optional[str]:
+    """The first scalar (non-aggregate) function a query AST calls, if any."""
+    if isinstance(node, FunctionCall) and not node.is_aggregate:
+        return node.name
+    if isinstance(node, tuple):
+        children: Sequence[Any] = node
+    elif dataclasses.is_dataclass(node):
+        children = [getattr(node, field.name) for field in dataclasses.fields(node)]
+    else:
+        return None
+    for child in children:
+        found = _function_called(child)
+        if found is not None:
+            return found
+    return None
+
+
+def _keep_equal(old: Optional[Table], new: Table) -> Table:
+    """Rule 1: the old table object if it holds exactly what ``new`` does."""
+    if old is not None and old.schema == new.schema and old.rows == new.rows:
+        return old
+    return new
 
 
 class PreservedInstance:
@@ -107,6 +137,15 @@ class ActivationBuilder:
         #: successfully, so a failed rebuild leaves the still-installed old
         #: tree completely untouched.
         self._pending_reparent: List[Tuple[AUnitInstance, AUnitInstance]] = []
+        #: Vectors are recorded at all (else every one is absent).
+        self._tracked = engine.dependency_tracking and engine.delta_reactivation
+        #: (AUnit, activator) -> per input assignment (tables read, refusal);
+        #: see :meth:`_input_plan`.
+        self._input_plans: Dict[Tuple[str, str], List[Tuple[FrozenSet[str], Optional[str]]]] = {}
+        #: Rule 4's memo; a dict only inside :meth:`sharing`.
+        self._memo: Optional[Dict[Tuple, Table]] = None
+        #: The tree being built holds a query that cannot be tracked.
+        self._untracked = False
 
     # -- public API ---------------------------------------------------------------
 
@@ -126,6 +165,15 @@ class ActivationBuilder:
         with self.engine.id_scope(session_id):
             return self._build_tree(session_id, input_rows, preserved, old_root)
 
+    @contextmanager
+    def sharing(self) -> Iterator[None]:
+        """One reactivation pass: tree builds inside share flat input results (rule 4)."""
+        self._memo = {}
+        try:
+            yield
+        finally:
+            self._memo = None
+
     def _build_tree(
         self,
         session_id: str,
@@ -134,11 +182,7 @@ class ActivationBuilder:
         old_root: Optional[AUnitInstance],
     ) -> AUnitInstance:
         preserved = preserved or {}
-        delta = (
-            old_root is not None
-            and self.engine.dependency_tracking
-            and self.engine.delta_reactivation
-        )
+        delta = old_root is not None and self._tracked
         root_decl = self.program.root
         self.engine.ensure_persistent(root_decl)
         label: InstanceLabel = ("session", session_id)
@@ -151,14 +195,7 @@ class ActivationBuilder:
             session_id=session_id,
             preserved=preserved,
         )
-        if delta:
-            # Session inputs are fixed at session start, so the prior root's
-            # input tables hold exactly the rows about to be re-applied;
-            # adopting the objects keeps their version stamps, which is what
-            # lets child dependency vectors referencing them stay valid.
-            self._adopt_input_tables(root, old_root)
-        else:
-            root.create_input_tables()
+        root.create_input_tables()
         for table_name, rows in (input_rows or {}).items():
             table = root.input_tables.get(table_name)
             if table is None:
@@ -166,9 +203,18 @@ class ActivationBuilder:
                     f"root AUnit {root_decl.name!r} has no input table {table_name!r}"
                 )
             table.replace(rows)
+        if delta:
+            # Rule 1 at the root: session inputs are fixed at session start,
+            # so the prior root's tables (and stamps) are kept.
+            root.input_tables = {
+                name: _keep_equal(old_root.input_tables.get(name), table)
+                for name, table in root.input_tables.items()
+            }
+        self._untracked = False
         self._initialise_local(root, preserved)
         self._pending_reparent = []
         self._activate_children(root, preserved, old_root if delta else None)
+        root.fully_tracked = not self._untracked
         # Commit point: only now that the whole tree built without raising is
         # the old tree mutated (adopted subtrees re-parented into the new
         # one).  An exception above leaves the installed tree untouched.
@@ -203,14 +249,6 @@ class ActivationBuilder:
             activation_schema=activator.activation_schema if activator is not None else None,
             session_id=session_id,
         )
-
-    @staticmethod
-    def _adopt_input_tables(instance: AUnitInstance, old: AUnitInstance) -> None:
-        """Take over a prior incarnation's input-table objects (same contents)."""
-        instance.input_tables = dict(old.input_tables)
-        for schema in instance.decl.input_schema:
-            if schema.name not in instance.input_tables:
-                instance.input_tables[schema.name] = Table(schema)
 
     def _initialise_local(
         self,
@@ -252,6 +290,8 @@ class ActivationBuilder:
                 instance.local_deps = None  # cross-shard read: untrackable
             else:
                 instance.local_deps = dep_vector(tracker, catalog)
+        if instance.decl.synchronized and instance.local_deps is None:
+            self._untracked = True
 
     # -- children ------------------------------------------------------------------------
 
@@ -261,51 +301,79 @@ class ActivationBuilder:
         preserved: Dict[InstanceLabel, PreservedInstance],
         old_node: Optional[AUnitInstance] = None,
     ) -> None:
+        if not instance.decl.activators:
+            return
+        persist = self.engine.persist_tables(instance.decl.name)
+        catalog = build_read_catalog(instance, persist, include_output=False)
         for activator in instance.decl.activators:
             child_decl = self.program.resolve_child(activator.child)
             self.engine.ensure_persistent(child_decl)
-            if old_node is not None and self._reactivate_delta(
-                instance, activator, child_decl, preserved, old_node
-            ):
-                continue
-            self._build_children(instance, activator, child_decl, preserved, old_node)
+            self._activate(instance, activator, child_decl, catalog, preserved, old_node)
 
-    def _build_children(
+    def _activate(
         self,
         instance: AUnitInstance,
         activator: ActivatorDecl,
         child_decl: AUnitDecl,
+        catalog: DictCatalog,
         preserved: Dict[InstanceLabel, PreservedInstance],
         old_node: Optional[AUnitInstance],
     ) -> None:
-        """Run the activator's queries and construct its child instances."""
-        persist = self.engine.persist_tables(instance.decl.name)
-        catalog = build_read_catalog(instance, persist, include_output=False)
-        tuples, read_names = self._activation_tuples(instance, activator, catalog)
-        if read_names is not None and any(
-            self.engine.query_is_global(assignment.query.query)
-            for assignment in activator.input_query
-        ):
-            # A cross-shard input query reads peer shards whose writes move
-            # no local version stamp, so its footprint is untrackable; the
-            # activator must rebuild (re-scattering) on every reactivation.
-            read_names = None
-        # Input-query reads are tracked apart from the activation query's so
-        # the split vectors below can tell "only activation inputs moved"
-        # from "the child input tables would change too".
-        input_reads: Optional[Set[str]] = set() if read_names is not None else None
+        """Build one activator's children, matched by label to the old tree's.
 
-        old_children: Optional[Dict[InstanceLabel, AUnitInstance]] = None
-        if old_node is not None:
-            old_children = {
-                child.label: child
-                for child in old_node.children
-                if child.activator_name == activator.name
-            }
+        The single (re)activation path; the four rules of the module doc
+        decide per query whether it runs and per child whether it is built.
+        ``catalog`` is the instance's read catalog.
+        """
+        old = old_node.activator_records.get(activator.name) if old_node is not None else None
+        old_list = [
+            child
+            for child in (old_node.children if old_node is not None else ())
+            if child.activator_name == activator.name
+        ]
+        old_children = {child.label: child for child in old_list}
+        old_tuples = [child.activation_tuple for child in old_list]
 
+        was_tracked = old is not None and old.act is not None
+        current = was_tracked and deps_current(old.act, catalog)
+        tuples, read_names = self._activation_tuples(
+            instance, activator, catalog, old_tuples if current else None
+        )
+        act = dep_vector(read_names, catalog) if self._tracked and read_names is not None else None
+
+        # The tables an assignment reads are static; resolve them once per
+        # activator and pass, and call a vector unmoved only when the
+        # resolved vector equals the recorded one.
+        vectors: List[Optional[DepVector]] = []
+        if tuples and activator.input_query:
+            plan = self._input_plan(instance, activator, child_decl, tuples[0])
+            vectors = [
+                dep_vector(names, catalog) if refusal is None else None
+                for names, refusal in plan
+            ]
+        old_inputs = old.inputs if old is not None else None
+
+        all_kept = True
         for activation_tuple in tuples:
             key = activation_key(activator.activation_schema, activation_tuple)
             label: InstanceLabel = (instance.label, activator.name, key)
+            old_child = old_children.get(label)
+            # Same key but different non-key columns: the child's inputs may
+            # depend on them, so nothing recorded for it can be trusted.
+            same = old_child is not None and old_child.activation_tuple == activation_tuple
+            tables = self._child_inputs(
+                instance, activator, child_decl, activation_tuple,
+                vectors, old_child, old_inputs if same else None,
+            )
+            kept = same and all(
+                table is old_child.input_tables.get(name) for name, table in tables.items()
+            )
+            all_kept = all_kept and kept
+            if kept and self._subtree_clean(old_child):
+                self._pending_reparent.append((old_child, instance))
+                instance.children.append(old_child)
+                self.instances_reused += sum(1 for _ in old_child.walk())
+                continue
             child = self._new_instance(
                 decl=child_decl,
                 label=label,
@@ -315,155 +383,170 @@ class ActivationBuilder:
                 session_id=instance.session_id,
                 preserved=preserved,
             )
-            child.create_input_tables()
-            self._compute_child_input(instance, activator, child, input_reads)
+            child.input_tables = tables
             instance.children.append(child)
             self._initialise_local(child, preserved)
-            self._activate_children(
-                child,
-                preserved,
-                old_children.get(label) if old_children else None,
-            )
+            self._activate_children(child, preserved, old_child)
 
-        if read_names is None:
-            instance.activator_deps[activator.name] = None
-            instance.activator_act_deps[activator.name] = None
-            instance.activator_input_deps[activator.name] = None
-        else:
-            # The per-child synthetic tables (the activation tuple and the
-            # child's own input tables read back by later assignments) are
-            # functions of the queries' other inputs, so they are excluded
-            # from the recorded footprint; everything left resolves in the
-            # instance's plain read catalog.
-            excluded = {"activationTuple"}
-            excluded.update(
-                f"{activator.child.name}.{schema.name}"
-                for schema in child_decl.input_schema
-            )
-            instance.activator_deps[activator.name] = dep_vector(
-                (read_names | input_reads) - excluded, catalog
-            )
-            instance.activator_act_deps[activator.name] = dep_vector(
-                read_names - excluded, catalog
-            )
-            instance.activator_input_deps[activator.name] = dep_vector(
-                input_reads - excluded, catalog
-            )
+        inputs = tuple(vectors) if tuples else None
+        instance.activator_records[activator.name] = ActivatorRecord(act, inputs)
+        if act is None or (inputs is not None and None in inputs):
+            self._untracked = True
+        if was_tracked and not current and all_kept and tuples == old_tuples:
+            # The write moved a table the activation query reads but not
+            # this query's answer, nor any child's inputs.
+            self.engine.maintenance_stats.results_unchanged += 1
 
-    # -- delta reactivation -------------------------------------------------------------
+    # -- child inputs ---------------------------------------------------------------------
 
-    def _reactivate_delta(
+    def _input_plan(
         self,
         instance: AUnitInstance,
         activator: ActivatorDecl,
         child_decl: AUnitDecl,
-        preserved: Dict[InstanceLabel, PreservedInstance],
-        old_node: AUnitInstance,
-    ) -> bool:
-        """Reuse the old tree's children for one activator if its deps are unchanged.
+        activation_tuple: Optional[Tuple[Any, ...]],
+    ) -> List[Tuple[FrozenSet[str], Optional[str]]]:
+        """Per input assignment: the tables it reads and why it is not *flat*.
 
-        Returns True when the activator was handled (children adopted or
-        shallowly rebuilt); False sends the caller down the full rebuild
-        path.  Under incremental maintenance a stale dependency vector gets
-        a second chance: when only the activation query's inputs moved and
-        its (cache-patched) *results* compare equal to the old child set,
-        the children are still adoptable (see :meth:`_results_unchanged`).
+        Static per activator, so decided once (at the first child any
+        session builds) and declared up front rather than discovered by
+        runtime bailouts.  A flat assignment is a function of its activation
+        tuple and the tables named here, which is what lets rules 2 and 4
+        skip or share it; a refusal (None = flat) names the reason it must
+        run for every child on every rebuild instead.
         """
-        deps = old_node.activator_deps.get(activator.name, _NO_RECORD)
-        if deps is _NO_RECORD or deps is None:
-            return False
-        persist = self.engine.persist_tables(instance.decl.name)
-        catalog = build_read_catalog(instance, persist, include_output=False)
-        if not deps_current(deps, catalog):
-            if not self._results_unchanged(instance, activator, old_node, catalog):
-                return False
-            deps = dep_vector([name for name, _ in deps], catalog)
-            if deps is None:
-                return False
+        key = (instance.decl.name, activator.name)
+        plan = self._input_plans.get(key)
+        if plan is not None:
+            return plan
+        catalog = self._child_catalog(instance, activator, child_decl, activation_tuple, {})
+        executor = self.engine.make_executor(catalog)
+        prefix = activator.child.name
+        synthetic = {"activationTuple"}
+        synthetic.update(f"{prefix}.{schema.name}" for schema in child_decl.input_schema)
+        blanket = None
+        if not self._tracked:
+            blanket = "untracked"
+        elif activator.activation_filters:
+            blanket = "activation filters"
+        plan = []
+        assigned: Set[str] = set()
+        for assignment in activator.input_query:
+            query = assignment.query.query
+            reads = executor.read_set(query)
+            refusal = blanket
+            if refusal is None:
+                function = _function_called(query)
+                if function is not None:
+                    refusal = f"calls {function}()"
+                elif reads & assigned:
+                    refusal = f"reads {min(reads & assigned)} assigned earlier in the block"
+                elif self.engine.query_is_global(query):
+                    refusal = "cross-shard"
+            plan.append((frozenset(reads - synthetic), refusal))
+            assigned.add(f"{prefix}.{assignment.simple_target}")
+        self._input_plans[key] = plan
+        return plan
 
-        # The activation and input queries would produce identical results:
-        # same child set, same activation tuples, same child input tables.
-        old_children = [
-            child for child in old_node.children if child.activator_name == activator.name
-        ]
-        for old_child in old_children:
-            if self._subtree_clean(old_child):
-                self._pending_reparent.append((old_child, instance))
-                instance.children.append(old_child)
-                self.instances_reused += sum(1 for _ in old_child.walk())
-            else:
-                # Something deeper changed (or the child returned): rebuild
-                # the node itself, but skip re-running the input query — its
-                # dependencies are unchanged, so the old input tables hold
-                # exactly what recomputation would produce.
-                child = self._new_instance(
-                    decl=child_decl,
-                    label=old_child.label,
-                    parent=instance,
-                    activator=activator,
-                    activation_tuple=old_child.activation_tuple,
-                    session_id=instance.session_id,
-                    preserved=preserved,
-                )
-                self._adopt_input_tables(child, old_child)
-                instance.children.append(child)
-                self._initialise_local(child, preserved)
-                self._activate_children(child, preserved, old_child)
-        instance.activator_deps[activator.name] = deps
-        for split in ("activator_act_deps", "activator_input_deps"):
-            recorded = getattr(old_node, split).get(activator.name)
-            getattr(instance, split)[activator.name] = (
-                dep_vector([name for name, _ in recorded], catalog)
-                if recorded is not None
-                else None
-            )
-        return True
-
-    def _results_unchanged(
+    def _child_catalog(
         self,
         instance: AUnitInstance,
         activator: ActivatorDecl,
-        old_node: AUnitInstance,
-        catalog: DictCatalog,
-    ) -> bool:
-        """Prove one activator's *results* unchanged despite moved versions.
+        child_decl: AUnitDecl,
+        activation_tuple: Optional[Tuple[Any, ...]],
+        tables: Dict[str, Table],
+    ) -> DictCatalog:
+        """The namespace of an input query: the parent's tables, the tuple, the child's."""
+        tuple_table = None
+        if activator.activation_schema is not None and activation_tuple is not None:
+            tuple_table = make_activation_tuple_table(
+                activator.activation_schema, activation_tuple
+            )
+        # The child's input tables are readable under their qualified names so
+        # later assignments of the same input query may refer to earlier ones.
+        child_qualified = {
+            f"{activator.child.name}.{schema.name}": (
+                tables[schema.name] if schema.name in tables else Table(schema)
+            )
+            for schema in child_decl.input_schema
+        }
+        return build_read_catalog(
+            instance,
+            self.engine.persist_tables(instance.decl.name),
+            activation_tuple=tuple_table,
+            child_tables=child_qualified,
+            include_output=False,
+        )
 
-        Entered when the activator's combined dependency vector went stale.
-        If the input query's own footprint is still current, the only thing
-        that can differ is the activation tuple set — so re-evaluate the
-        activation query (served by the activation cache, which under
-        incremental maintenance patches its stale entry through the delta
-        program rather than recomputing) and compare against the old child
-        set.  Equal tuples mean a rebuild would reproduce the children
-        verbatim, so the caller may adopt them even though table versions
-        moved.
+    def _child_inputs(
+        self,
+        instance: AUnitInstance,
+        activator: ActivatorDecl,
+        child_decl: AUnitDecl,
+        activation_tuple: Optional[Tuple[Any, ...]],
+        vectors: List[Optional[DepVector]],
+        old_child: Optional[AUnitInstance],
+        old_inputs: Optional[Tuple[Optional[DepVector], ...]],
+    ) -> Dict[str, Table]:
+        """The input tables of one child: adopted, shared, or computed.
+
+        ``old_child`` is the old tree's child with the same label (rule 1
+        keeps any of its tables that come out equal); ``old_inputs`` the
+        vectors recorded for it, given only when its *full* activation
+        tuple is unchanged (rule 2 adopts a table unexecuted).  Tables of
+        the still-installed tree are never mutated — only referenced.
         """
-        if self.engine.maintenance != "incremental":
-            return False
-        if activator.activation_query is None or activator.activation_filters:
-            return False
-        input_deps = old_node.activator_input_deps.get(activator.name, _NO_RECORD)
-        if input_deps is _NO_RECORD or input_deps is None:
-            return False
-        if not deps_current(input_deps, catalog):
-            return False
-        tuples, _ = self._activation_tuples(instance, activator, catalog)
-        old_tuples = [
-            child.activation_tuple
-            for child in old_node.children
-            if child.activator_name == activator.name
-        ]
-        if list(tuples) != old_tuples:
-            return False
-        self.engine.maintenance_stats.results_unchanged += 1
-        return True
+        location = f"{instance.decl.name}.{activator.name}.input_query"
+        schemas = {schema.name: schema for schema in child_decl.input_schema}
+        old_tables = old_child.input_tables if old_child is not None else {}
+        tables: Dict[str, Table] = {}
+        catalog: Optional[DictCatalog] = None
+        executor = None
+        for index, assignment in enumerate(activator.input_query):
+            name = assignment.simple_target
+            schema = schemas.get(name)
+            if schema is None:
+                raise HandlerError(
+                    f"{location}: assignment target {assignment.target!r} is not writable here"
+                )
+            vector = vectors[index]
+            if vector is not None and old_inputs is not None and old_inputs[index] == vector:
+                table = old_tables[name]  # rule 2: unmoved, adopted unexecuted
+            else:
+                memo = self._memo if vector is not None else None  # rule 4: flat only
+                memo_key = (instance.decl.name, activator.name, index, activation_tuple, vector)
+                table = memo.get(memo_key) if memo is not None else None
+                if table is None:
+                    if executor is None:
+                        catalog = self._child_catalog(
+                            instance, activator, child_decl, activation_tuple, tables
+                        )
+                        executor = self.engine.make_executor(catalog)
+                    relation = executor.execute_query(assignment.query.query)
+                    table = Table(schema)
+                    try:
+                        table.replace(relation.rows)
+                    except Exception as exc:
+                        raise HandlerError(
+                            f"{location}: assignment to {assignment.target!r} failed: {exc}"
+                        ) from exc
+                    if memo is not None:
+                        memo[memo_key] = table
+                table = _keep_equal(old_tables.get(name), table)  # rule 1
+            tables[name] = table
+            if catalog is not None:
+                catalog.add(f"{activator.child.name}.{name}", table, overwrite=True)
+        for name, schema in schemas.items():
+            if name not in tables:
+                tables[name] = _keep_equal(old_tables.get(name), Table(schema))
+        return tables
 
     def _subtree_clean(self, node: AUnitInstance) -> bool:
         """True when a whole old subtree can be adopted as-is.
 
         Requires that no instance in the subtree returned, and that every
-        recorded dependency vector (activator queries, plus the local query
-        for synchronized AUnits) still matches the current table versions.
+        recorded vector (each activator's queries, plus the local query for
+        synchronized AUnits) still matches the current table versions.
         The vectors resolve against the node's *own* catalog, whose tables
         are the very objects being adopted, so a reused subtree is exactly
         the tree a full rebuild would have produced.
@@ -477,27 +560,31 @@ class ActivationBuilder:
                 if node.local_deps is None or not deps_current(node.local_deps, catalog):
                     return False
             for activator in node.decl.activators:
-                deps = node.activator_deps.get(activator.name, _NO_RECORD)
-                if deps is _NO_RECORD or deps is None:
+                record = node.activator_records.get(activator.name)
+                if record is None:
                     return False
-                if not deps_current(deps, catalog):
-                    return False
-        for child in node.children:
-            if not self._subtree_clean(child):
-                return False
-        return True
+                for vector in (record.act, *(record.inputs or ())):
+                    if vector is None or not deps_current(vector, catalog):
+                        return False
+        return all(self._subtree_clean(child) for child in node.children)
 
     # -- activation queries -------------------------------------------------------------
 
     def _activation_tuples(
-        self, instance: AUnitInstance, activator: ActivatorDecl, catalog: DictCatalog
+        self,
+        instance: AUnitInstance,
+        activator: ActivatorDecl,
+        catalog: DictCatalog,
+        unmoved: Optional[List[Optional[Tuple[Any, ...]]]] = None,
     ) -> Tuple[List[Optional[Tuple[Any, ...]]], Optional[Set[str]]]:
         """The activation tuples of one activator (None = single unconditional child).
 
         Also returns the names of the tables read while computing them — the
-        start of the activator's dependency footprint — or None when the
-        footprint cannot be tracked (activation filters run per-row queries
-        whose reads are not recorded).
+        activation query's footprint — or None when the footprint cannot be
+        tracked (activation filters run per-row queries whose reads are not
+        recorded).  ``unmoved`` is the old tree's tuples when the recorded
+        vector is still current: what the query would return, used when the
+        activation cache has no entry to serve instead.
         """
         track = self.engine.dependency_tracking
         if activator.activation_query is None:
@@ -521,6 +608,8 @@ class ActivationBuilder:
         )
         if cached is not None:
             rows = cached
+        elif unmoved is not None:
+            rows = unmoved
         else:
             try:
                 rows = executor.execute_query(query).as_tuples()
@@ -551,46 +640,3 @@ class ActivationBuilder:
             ):
                 kept.append(row)
         return kept, None
-
-    def _compute_child_input(
-        self,
-        instance: AUnitInstance,
-        activator: ActivatorDecl,
-        child: AUnitInstance,
-        read_tracker: Optional[Set[str]] = None,
-    ) -> None:
-        """Evaluate the activator's input query to fill the child's input tables."""
-        if not activator.input_query:
-            return
-        persist = self.engine.persist_tables(instance.decl.name)
-        activation_tuple_table = None
-        if activator.activation_schema is not None and child.activation_tuple is not None:
-            activation_tuple_table = make_activation_tuple_table(
-                activator.activation_schema, child.activation_tuple
-            )
-        # The child's input tables are readable under their qualified names so
-        # later assignments of the same input query may refer to earlier ones.
-        child_qualified = {
-            f"{activator.child.name}.{name}": table
-            for name, table in child.input_tables.items()
-        }
-        catalog = build_read_catalog(
-            instance,
-            persist,
-            activation_tuple=activation_tuple_table,
-            child_tables=child_qualified,
-            include_output=False,
-        )
-
-        def resolve_target(assignment: Assignment) -> Optional[Table]:
-            return child.input_tables.get(assignment.simple_target)
-
-        run_assignments(
-            activator.input_query,
-            catalog,
-            self.engine.functions,
-            resolve_target,
-            location=f"{instance.decl.name}.{activator.name}.input_query",
-            executor_factory=self.engine.make_executor,
-            read_tracker=read_tracker,
-        )

@@ -184,6 +184,9 @@ class HildaEngine:
                 self.functions.restore_sequential_keys(next_genkey)
 
         self._dirty_sessions: Set[str] = set()
+        #: :meth:`_persistent_stamp` as of the last pass that left every
+        #: session either rebuilt or marked stale.
+        self._settled_stamp = 0
         #: (instance label, activator name) -> (validity stamp, cached rows).
         #: The stamp is a dependency version vector under dependency
         #: tracking, or the global state version in the coarse mode.
@@ -931,10 +934,11 @@ class HildaEngine:
 
     def reactivate_all(self) -> None:
         """Rebuild every session's activation tree immediately."""
-        with self._rw.write():
+        with self._rw.write(), self._builder.sharing():
             for session_id in self.forest.session_ids():
                 self._rebuild_session(session_id)
             self._dirty_sessions.clear()
+            self._settled_stamp = self._persistent_stamp()
 
     def refresh(self, session_id: Optional[str] = None) -> None:
         """Explicitly refresh one session (the user's page reload) or all."""
@@ -945,20 +949,39 @@ class HildaEngine:
                 self._rebuild_session(session_id)
                 self._dirty_sessions.discard(session_id)
 
+    def _persistent_stamp(self) -> int:
+        """The newest stamp of any persistent table: stamps come from one
+        monotonic clock, so it moves exactly when persistent contents change."""
+        return max(
+            (table.version for tables in self._persist.values() for table in tables.values()),
+            default=0,
+        )
+
     def _reactivate_after(self, operation: Operation, outcome) -> None:
-        acting_session = operation.session_id
-        if self.reactivation == "eager":
-            self.reactivate_all()
-            return
-        if acting_session is not None:
-            self._rebuild_session(acting_session)
-            self._dirty_sessions.discard(acting_session)
-        for session_id in self.forest.session_ids():
-            if session_id != acting_session:
-                self._dirty_sessions.add(session_id)
-                self._dirty_markers.setdefault(
-                    session_id, (operation.operation_id, operation.session_id)
-                )
+        """Rebuild the acting session; rebuild (eager) or stale (lazy) the rest.
+
+        Except (rule 3, docs/caching.md § 4): sessions share nothing but
+        persistent tables, so while none has moved since every session was
+        last settled, a fully tracked bystander's tree is already what a
+        rebuild would produce — a local action costs O(acting session).
+        """
+        stamp = self._persistent_stamp()
+        unmoved = stamp == self._settled_stamp
+        eager = self.reactivation == "eager"
+        with self._builder.sharing():
+            for session_id in self.forest.session_ids():
+                if session_id != operation.session_id:
+                    if unmoved and self.forest.root_for_session(session_id).fully_tracked:
+                        continue
+                    if not eager:
+                        self._dirty_sessions.add(session_id)
+                        self._dirty_markers.setdefault(
+                            session_id, (operation.operation_id, operation.session_id)
+                        )
+                        continue
+                self._rebuild_session(session_id)
+                self._dirty_sessions.discard(session_id)
+        self._settled_stamp = stamp
 
     def _ensure_fresh(self, session_id: str) -> None:
         if session_id in self._dirty_sessions:

@@ -19,29 +19,47 @@ Every instance has
   tuple (Definition 6).  Labels are what the reactivation phase matches old
   and new instances on.
 
-Instances additionally carry the **dependency records** the delta
-reactivation optimization consults (``docs/caching.md``): per activator, the
-``(table name, version)`` vector its activation and input queries read when
-the children were built (``None`` marks the activator uncacheable, e.g. when
-activation filters ran), and the same for the instance's own local query.
-A subtree whose recorded versions are all still current is reused wholesale
-on reactivation instead of being rebuilt.
+Instances additionally carry the **dependency records** reactivation
+consults (``docs/caching.md``): one :class:`ActivatorRecord` per activator —
+a ``(table name, version)`` vector per *query*, i.e. one for the activation
+query and one for each input assignment — and a vector for the instance's
+own local query.  A query whose vector is unmoved is not re-run, and a
+subtree whose vectors are all still current is reused wholesale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.hilda.ast import AUnitDecl
 from repro.relational.schema import TableSchema
 from repro.relational.table import Table
 
-__all__ = ["InstanceLabel", "AUnitInstance", "activation_key"]
+__all__ = ["InstanceLabel", "DepVector", "ActivatorRecord", "AUnitInstance", "activation_key"]
 
 #: A label is a nested tuple: ("session", session_id) for roots and
 #: (parent_label, activator_name, activation_key) for children.
 InstanceLabel = Tuple[Any, ...]
+
+#: A dependency version vector: ``((table name, version), ...)`` sorted by name.
+DepVector = Tuple[Tuple[str, int], ...]
+
+
+class ActivatorRecord(NamedTuple):
+    """What one activator's queries read when its children were built.
+
+    A vector of None means the query cannot be tracked (activation filters,
+    a cross-shard read, a non-flat input assignment, tracking off): it is
+    re-run on every rebuild and its subtree is never adopted wholesale.
+    """
+
+    #: The activation query's vector.
+    act: Optional[DepVector]
+    #: One vector per input assignment, in block order.  None while the
+    #: activator has no children: nothing ran, so nothing is known — never
+    #: the empty vector, which would read as "depends on nothing".
+    inputs: Optional[Tuple[Optional[DepVector], ...]]
 
 
 def activation_key(schema: Optional[TableSchema], values: Optional[Sequence[Any]]) -> Tuple[Any, ...]:
@@ -78,10 +96,9 @@ class AUnitInstance:
         "children",
         "session_id",
         "returned",
-        "activator_deps",
-        "activator_act_deps",
-        "activator_input_deps",
+        "activator_records",
         "local_deps",
+        "fully_tracked",
     )
 
     def __init__(
@@ -113,19 +130,14 @@ class AUnitInstance:
         )
         #: Set during the return phase when this instance returns.
         self.returned = False
-        #: activator name -> dependency version vector recorded while the
-        #: activator's children were built (None = uncacheable); consulted by
-        #: delta reactivation (see module doc).
-        self.activator_deps: Dict[str, Optional[Tuple[Tuple[str, int], ...]]] = {}
-        #: The same footprint split by query: the activation query's reads
-        #: and the input query's reads separately.  Incremental maintenance
-        #: uses the split to prove an activator's *results* unchanged when
-        #: only activation-side tables moved (docs/caching.md § Incremental
-        #: maintenance).
-        self.activator_act_deps: Dict[str, Optional[Tuple[Tuple[str, int], ...]]] = {}
-        self.activator_input_deps: Dict[str, Optional[Tuple[Tuple[str, int], ...]]] = {}
+        #: activator name -> the per-query vectors recorded while the
+        #: activator's children were built (see module doc).
+        self.activator_records: Dict[str, ActivatorRecord] = {}
         #: Dependency version vector of the local query (None = not recorded).
-        self.local_deps: Optional[Tuple[Tuple[str, int], ...]] = None
+        self.local_deps: Optional[DepVector] = None
+        #: Roots only: every query of the session's tree is tracked, so while
+        #: no persistent table moves the tree is what a rebuild would produce.
+        self.fully_tracked = False
 
     # -- structure ---------------------------------------------------------------
 

@@ -26,6 +26,15 @@ def pytest_addoption(parser):
             "(the plan-regression suite's update tool)."
         ),
     )
+    parser.addoption(
+        "--update-budgets",
+        action="store_true",
+        default=False,
+        help=(
+            "Refresh tests/runtime/reactivation_budget.json from the work "
+            "counts measured now instead of asserting against it."
+        ),
+    )
 
 
 @pytest.fixture(scope="session")

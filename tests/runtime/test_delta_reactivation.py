@@ -129,6 +129,12 @@ class TestDeltaReactivation:
         session = engine.start_session({"user": [("u",)]})
         root = engine.session_tree(session)
         left_child = root.find_children(activator="ActLeft")[0]
+        tables = [
+            table
+            for node in root.walk()
+            for table in (*node.input_tables.values(), *node.local_tables.values())
+        ]
+        before = [(table.version, list(table.rows)) for table in tables]
 
         with pytest.raises(ActivationError):
             engine.seed_persistent({"right": [(2, 0)]})  # 100/0 on rebuild
@@ -136,6 +142,10 @@ class TestDeltaReactivation:
         assert engine.session_tree(session) is root
         assert left_child.parent is root
         assert root.find_children(activator="ActLeft")[0] is left_child
+        # No table of the installed tree was written, not even its stamp,
+        # and the pass's memo of shared inputs did not outlive the pass.
+        assert [(table.version, list(table.rows)) for table in tables] == before
+        assert engine._builder._memo is None
 
     def test_lazy_mode_delta_refresh(self, minicms_program):
         engine = HildaEngine(
@@ -153,6 +163,220 @@ class TestDeltaReactivation:
         after = [node.instance_id for node in engine.session_tree(admin).walk()]
         assert after == before
         assert engine._builder.instances_reused > reused_before
+
+
+#: One activator per way an input assignment can be un-flat, plus a flat one
+#: whose child's inputs depend on a non-key activation column.
+_RULES_SOURCE = """
+root aunit R {
+    input schema { user(name:string) }
+    persist schema { item(iid:int key, label:string) }
+    activator ActLabel : ShowRow(string) {
+        activation schema { a(iid:int, label:string) }
+        activation query { SELECT I.iid, I.label FROM item I }
+        input query { ShowRow.input :- SELECT activationTuple.label }
+    }
+    activator ActKey : ShowRow(int) {
+        activation schema { b(iid:int) }
+        activation query { SELECT I.iid FROM item I }
+        input query { ShowRow.input :- SELECT genkey() }
+    }
+    activator ActToday : ShowRow(date) {
+        activation schema { c(iid:int) }
+        activation query { SELECT I.iid FROM item I }
+        input query { ShowRow.input :- SELECT curr_date() }
+    }
+}
+"""
+
+
+def _count_queries(monkeypatch, queries):
+    """Count ``execute_query`` calls per query AST in ``queries`` (name -> AST)."""
+    from repro.sql.executor import SQLExecutor
+
+    counts = {name: 0 for name in queries}
+    names = {id(query): name for name, query in queries.items()}
+    original = SQLExecutor.execute_query
+
+    def counted(executor, query, *args, **kwargs):
+        if id(query) in names:
+            counts[names[id(query)]] += 1
+        return original(executor, query, *args, **kwargs)
+
+    monkeypatch.setattr(SQLExecutor, "execute_query", counted)
+    return counts
+
+
+class TestReactivationRules:
+    """The four rules of docs/caching.md § 4, where each could go wrong."""
+
+    @pytest.fixture
+    def rules_engine(self):
+        from repro.hilda.program import load_program
+
+        engine = HildaEngine(load_program(_RULES_SOURCE), cache_activation_queries=True)
+        engine.seed_persistent({"item": [(1, "one"), (2, "two")]})
+        return engine
+
+    def test_first_child_of_a_childless_activator_tracks_what_its_inputs_read(self, engine):
+        # alice administers both courses and takes none: her ActStudent has
+        # no children, so it must record *no* input vectors.  If it recorded
+        # the empty vector ("depends on nothing"), the first Student child
+        # would keep it, and no later write to assign would ever reach that
+        # child's inputs.
+        from repro.apps.minicms import SYSADMIN_USER
+
+        admin, _, _ = _sessions(engine)
+        sysadmin = engine.start_session({"user": [(SYSADMIN_USER,)]})
+        assert engine.session_tree(admin).activator_records["ActStudent"].inputs is None
+
+        enrol = engine.find_instances("GetRow", session_id=sysadmin, activator="ActAddStudent")[0]
+        assert engine.perform(enrol.instance_id, [10, ADMIN_USER]).status == OperationStatus.APPLIED
+        student = engine.find_instances("Student", session_id=admin)[0]
+        assert [row[1] for row in student.input_tables["assign"].rows] == ["Homework 1"]
+
+        create = engine.find_instances("CreateAssignment", session_id=admin)[0]
+        engine.perform(
+            create.find_children("UpdateRow")[0].instance_id,
+            ["HW9", datetime.date(2006, 4, 1), datetime.date(2006, 4, 20)],
+        )
+        assert engine.perform(create.find_children("SubmitBasic")[0].instance_id).accepted
+        student = engine.find_instances("Student", session_id=admin)[0]
+        assert [row[1] for row in student.input_tables["assign"].rows] == ["Homework 1", "HW9"]
+        inputs = engine.session_tree(admin).activator_records["ActStudent"].inputs
+        assert inputs is not None and () not in inputs
+        page = PageRenderer(engine).render_session(admin)
+        assert page.count("HW9") >= 2  # the admin's course block and the student's
+
+    def test_function_calling_assignments_run_per_child_every_time(
+        self, rules_engine, monkeypatch
+    ):
+        engine = rules_engine
+        root_decl = engine.program.root
+        counts = _count_queries(
+            monkeypatch,
+            {
+                name: root_decl.activator(name).input_query[0].query.query
+                for name in ("ActLabel", "ActKey", "ActToday")
+            },
+        )
+        first = engine.start_session({"user": [("u",)]})
+        second = engine.start_session({"user": [("v",)]})
+        refusals = {
+            activator: [refusal for _names, refusal in plan]
+            for (_aunit, activator), plan in engine._builder._input_plans.items()
+        }
+        assert refusals == {
+            "ActLabel": [None], "ActKey": ["calls genkey()"], "ActToday": ["calls curr_date()"],
+        }
+        assert counts == {"ActLabel": 4, "ActKey": 4, "ActToday": 4}
+        today = [
+            child.input_tables["input"]
+            for child in engine.session_tree(first).find_children(activator="ActToday")
+        ]
+
+        engine.reactivate_all()
+        engine.reactivate_all()
+        # 2 sessions x 2 children x 2 passes: never skipped, never shared —
+        # while the flat assignment next to them did not run again at all.
+        assert counts == {"ActLabel": 4, "ActKey": 12, "ActToday": 12}
+        keys = [
+            child.input_tables["input"].rows[0][0]
+            for session in (first, second)
+            for child in engine.session_tree(session).find_children(activator="ActKey")
+        ]
+        assert len(set(keys)) == 4
+        # Rule 1 still holds for them: the same date came out, so the old
+        # table (and its stamp) was kept.
+        assert [
+            child.input_tables["input"]
+            for child in engine.session_tree(first).find_children(activator="ActToday")
+        ] == today
+        assert not engine.session_tree(first).fully_tracked
+
+    def test_changed_non_key_activation_column_reruns_the_input_query(self, rules_engine):
+        # ActLabel's input reads nothing but activationTuple, so its vector
+        # is () and never moves; only comparing the *full* tuple notices
+        # that the old child's input is stale.
+        engine = rules_engine
+        session = engine.start_session({"user": [("u",)]})
+        old = engine.session_tree(session).find_children(activator="ActLabel")
+        engine.persistent_table("item").update_where(
+            lambda row: row[0] == 2, lambda row: (2, "deux")
+        )
+        engine.reactivate_all()
+        new = engine.session_tree(session).find_children(activator="ActLabel")
+        assert [child.input_tables["input"].rows for child in new] == [[("one",)], [("deux",)]]
+        assert [child.instance_id for child in new] == [child.instance_id for child in old]
+        assert new[0] is old[0] and new[1] is not old[1]
+
+    def test_local_post_visits_only_the_acting_session(self, engine, monkeypatch):
+        from repro.runtime.activation import ActivationBuilder
+
+        admin, s1, s2 = _sessions(engine)
+        create = engine.find_instances("CreateAssignment", session_id=admin)[0]
+        update = create.find_children("UpdateRow")[0]
+        values = ["Draft", datetime.date(2006, 4, 1), datetime.date(2006, 4, 2)]
+        engine.perform(update.instance_id, values)  # settles every session
+        roots = {session: engine.session_tree(session) for session in (s1, s2)}
+        assert all(root.fully_tracked for root in roots.values())
+
+        built = []
+        original = ActivationBuilder.build_session_tree
+
+        def recording(builder, session_id, *args, **kwargs):
+            built.append(session_id)
+            return original(builder, session_id, *args, **kwargs)
+
+        monkeypatch.setattr(ActivationBuilder, "build_session_tree", recording)
+        update = engine.find_instances("UpdateRow", session_id=admin)[0]
+        assert engine.perform(update.instance_id, values).accepted
+        assert built == [admin]
+        assert all(engine.session_tree(session) is root for session, root in roots.items())
+        # A persistent write visits everyone again.
+        assert _withdraw(engine, s1).accepted
+        assert sorted(built[1:]) == sorted([admin, s1, s2])
+
+    def test_untrackable_session_is_rebuilt_after_another_sessions_local_post(
+        self, navcms_program
+    ):
+        # NavCMS filters its activators (Figure 13); filters run per-row
+        # queries whose reads are not recorded, so its sessions are never
+        # fully tracked and must be rebuilt on every pass.
+        engine = HildaEngine(navcms_program, cache_activation_queries=True)
+        seed_paper_scenario(engine)
+        acting = engine.start_session({"user": [(ADMIN_USER,)]})
+        bystander = engine.start_session({"user": [(ADMIN_USER,)]})
+        select = engine.find_instances("SelectRow", session_id=acting, activator="ActSelectCourse")[0]
+        row = select.input_tables["input"].rows[0]
+        engine.perform(select.instance_id, row)
+        root = engine.session_tree(bystander)
+        assert not root.fully_tracked
+
+        select = engine.find_instances("SelectRow", session_id=acting, activator="ActSelectCourse")[0]
+        result = engine.perform(select.instance_id, row)  # writes only local currcourse
+        assert result.accepted
+        assert engine.session_tree(bystander) is not root
+
+    def test_lazy_local_post_marks_no_tracked_bystander_dirty(self, minicms_program):
+        engine = HildaEngine(
+            minicms_program, reactivation="lazy", cache_activation_queries=True
+        )
+        seed_paper_scenario(engine)
+        admin, s1, s2 = _sessions(engine)
+        values = ["Draft", datetime.date(2006, 4, 1), datetime.date(2006, 4, 2)]
+        update = engine.find_instances("UpdateRow", session_id=admin)[0]
+        engine.perform(update.instance_id, values)
+        for session in (s1, s2):
+            engine.session_tree(session)  # refresh whatever the first pass staled
+        assert engine._dirty_sessions == set()
+
+        update = engine.find_instances("UpdateRow", session_id=admin)[0]
+        assert engine.perform(update.instance_id, values).accepted
+        assert engine._dirty_sessions == set()
+        # ... while a persistent write still stales them.
+        assert _withdraw(engine, s1).accepted
+        assert engine._dirty_sessions == {admin, s2}
 
 
 class TestActivationCache:
@@ -199,6 +423,9 @@ class TestFragmentCache:
         renderer.render_session(admin)
         assert len(renderer._fragment_cache) <= 5
         assert renderer.stats.evictions > 0
+        # One slot per (instance id, PUnit name), holding (stamp, html).
+        for (instance_id, _punit), (_stamp, html) in renderer._fragment_cache.items():
+            assert engine.forest.has_instance(instance_id) and html
 
     def test_disjoint_write_keeps_fragments_warm(self, engine):
         admin, s1, _ = _sessions(engine)
@@ -237,4 +464,37 @@ class TestFragmentCache:
         slots = {
             key for key in renderer._fragment_cache if key[0] == instance.instance_id
         }
-        assert len(slots) == 2  # but occupies a distinct cache slot
+        # ... but occupies a distinct (instance id, PUnit name) cache slot.
+        assert slots == {(instance.instance_id, None), (instance.instance_id, "nonexistent")}
+
+    def test_superseded_fragments_do_not_accumulate(self, engine):
+        # Net-zero assignment cycles with fixed sessions: every cycle
+        # re-renders the admin pages, and each new version of a fragment
+        # must overwrite the old one, while fragments of instances that
+        # left the forest are swept — with no help from the LRU bound.
+        admin, s1, _ = _sessions(engine)
+        other = engine.start_session({"user": [(ADMIN_USER,)]})
+        renderer = PageRenderer(engine, cache_fragments=True, fragment_cache_size=None)
+        sizes = []
+        for cycle in range(80):
+            create = engine.find_instances("CreateAssignment", session_id=admin)[0]
+            engine.perform(
+                create.find_children("UpdateRow")[0].instance_id,
+                [f"Cycle {cycle}", datetime.date(2006, 4, 1), datetime.date(2006, 4, 2)],
+            )
+            engine.perform(create.find_children("SubmitBasic")[0].instance_id)
+            for session in (admin, other, s1):
+                renderer.render_session(session)
+            delete = engine.find_instances(
+                "SelectRow", session_id=admin, activator="ActDeleteAssign"
+            )[0]
+            row = next(r for r in delete.input_tables["input"].rows if r[1] == f"Cycle {cycle}")
+            assert engine.perform(delete.instance_id, row).accepted
+            for session in (admin, other, s1):
+                renderer.render_session(session)
+            sizes.append(len(renderer._fragment_cache))
+        live = engine.forest.size()
+        assert max(sizes) <= 2 * live + 64
+        # The size saw-tooths between sweeps; whole periods do not grow.
+        assert max(sizes[50:]) <= max(sizes[20:50])
+        assert renderer.stats.evictions == 0
