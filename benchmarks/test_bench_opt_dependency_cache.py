@@ -33,6 +33,7 @@ from repro.apps.minicms import (
     seed_paper_scenario,
     seed_scaled,
 )
+from repro.config import CacheConfig, EngineConfig
 from repro.presentation.renderer import PageRenderer
 from repro.runtime.engine import HildaEngine
 
@@ -58,12 +59,11 @@ def _engine(program, variant: str, scaled: bool = False) -> HildaEngine:
     ``global`` — caches on, global-version invalidation (the old behaviour);
     ``off``    — caches off, full recomputation everywhere.
     """
-    engine = HildaEngine(
-        program,
-        cache_activation_queries=variant in ("deps", "global"),
+    cache = CacheConfig(
+        activation_queries=variant in ("deps", "global"),
         dependency_tracking=variant == "deps",
-        delta_reactivation=variant == "deps",
     )
+    engine = HildaEngine(program, config=EngineConfig(cache=cache))
     if scaled:
         seed_scaled(engine, n_courses=quick(4, 3), n_students=3, n_assignments=quick(6, 4))
     else:

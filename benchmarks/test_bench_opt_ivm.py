@@ -76,16 +76,13 @@ def _engine(program, variant: str) -> HildaEngine:
     """An engine configured for one maintenance variant.
 
     ``ivm``       — dependency cache + in-place delta patching (new);
-    ``recompute`` — the same caches, stale entries re-executed (PR 3's
-                    dependency-cache behaviour, the baseline the ISSUE
-                    measures against);
-    ``deps``      — dependency cache without delta reactivation: stale
-                    sessions rebuild their trees outright.
+    ``recompute`` — the same caches, stale entries re-executed (the
+                    dependency-cache behaviour, the baseline the speedup
+                    is measured against).
     """
     cache = CacheConfig(
         activation_queries=True,
         dependency_tracking=True,
-        delta_reactivation=variant != "deps",
         maintenance="incremental" if variant == "ivm" else "recompute",
     )
     engine = HildaEngine(program, config=EngineConfig(cache=cache))
@@ -150,11 +147,9 @@ def test_bench_write_heavy_zipf_workload(benchmark, ivm_program):
 
     ivm = run("ivm")
     recompute = run("recompute")
-    deps = run("deps")
     benchmark.pedantic(lambda: run("ivm"), rounds=1, iterations=1)
 
     speedup_vs_recompute = recompute["elapsed_ms"] / ivm["elapsed_ms"]
-    speedup_vs_deps = deps["elapsed_ms"] / ivm["elapsed_ms"]
     print_series(
         f"ISSUE 8 — write-heavy Zipf workload ({N_WRITES} writes, "
         f"{N_ROWS} rows, {N_SESSIONS} sessions)",
@@ -163,7 +158,6 @@ def test_bench_write_heavy_zipf_workload(benchmark, ivm_program):
              ivm["maintenance"]["patched"], ivm["maintenance"]["bailouts"]),
             ("recompute", f"{recompute['elapsed_ms']:.1f} ms",
              recompute["maintenance"]["patched"], "-"),
-            ("deps-only", f"{deps['elapsed_ms']:.1f} ms", "-", "-"),
             ("speedup vs recompute", f"{speedup_vs_recompute:.1f}x", "", ""),
         ],
         ["variant", "time", "patched", "bailouts"],
@@ -178,9 +172,7 @@ def test_bench_write_heavy_zipf_workload(benchmark, ivm_program):
                 "sessions": N_SESSIONS,
                 "ivm": ivm,
                 "recompute": recompute,
-                "deps": deps,
                 "speedup_vs_recompute": speedup_vs_recompute,
-                "speedup_vs_deps": speedup_vs_deps,
             },
         },
     )

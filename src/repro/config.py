@@ -1,48 +1,41 @@
 """Typed configuration objects for the whole stack.
 
-Before this module existed the runtime's knobs were untyped keyword
-arguments sprawled across :class:`~repro.runtime.engine.HildaEngine`,
-:class:`~repro.web.container.HildaApplication`,
-:class:`~repro.web.server.ThreadedHildaServer` and
-:class:`~repro.sql.executor.SQLExecutor`.  The dataclasses here are
-now the single source of truth for those knobs:
+The dataclasses here are the only way to configure
+:class:`~repro.runtime.engine.HildaEngine`,
+:class:`~repro.sql.executor.SQLExecutor`,
+:class:`~repro.web.container.HildaApplication` and
+:class:`~repro.web.server.ThreadedHildaServer`; each behaviour has
+exactly one field that sets it:
 
 * :class:`EngineConfig` — query planning/compilation switches, the
   reactivation mode and history recording, plus a nested
-  :class:`CacheConfig` and :class:`OptimizerConfig`.
+  :class:`CacheConfig`, :class:`OptimizerConfig` and :class:`StorageConfig`.
 * :class:`OptimizerConfig` — the query-planning pipeline: the ``"cost"``
   (statistics-driven) vs ``"heuristic"`` (legacy) strategy and the
   join-enumeration bounds (``docs/optimizer.md``).
 * :class:`CacheConfig` — every caching/invalidation knob (Section 6.2 of
   the paper: activation-query caching, fragment caching, dependency
-  tracking, delta reactivation, cache bounds).
+  tracking, incremental maintenance, cache bounds).
 * :class:`StorageConfig` — the durable storage backend (``"memory"`` vs
   the opt-in write-ahead-logged ``"wal"`` backend), its data directory,
   fsync policy, checkpoint cadence and recovery verification
   (``docs/storage.md``).
 * :class:`SessionConfig` — web-session lifetime and bounds.
-* :class:`ServerConfig` — HTTP front-end binding and logging.
-
-Every consumer still accepts its pre-existing keyword arguments through a
-deprecation shim (:func:`coalesce_legacy_kwargs`): each legacy kwarg keeps
-working, is mapped onto the corresponding config field, and emits a
-:class:`DeprecationWarning` exactly once per process (see
-:func:`warn_deprecated` / :func:`reset_deprecation_warnings`).
+* :class:`ServerConfig` — HTTP front-end binding and logging, plus an
+  optional :class:`ClusterConfig` for multi-process serving.
 
 All configs validate on construction and raise
 :class:`repro.errors.ConfigError` — never a bare ``ValueError`` — naming
 the offending field.  They are frozen: derive variants with
-:func:`dataclasses.replace` or the ``with_`` helpers.
+:func:`dataclasses.replace` or the named constructors.
 
-See ``docs/api.md`` for the migration table from old kwargs to config
-fields.
+``docs/api.md`` inventories every field and what it is for.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, Dict, Mapping, Optional, Set, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.errors import ConfigError
 
@@ -58,9 +51,6 @@ __all__ = [
     "DEFAULT_DELTA_LOG_SIZE",
     "DEFAULT_FRAGMENT_CACHE_SIZE",
     "MAINTENANCE_MODES",
-    "coalesce_legacy_kwargs",
-    "reset_deprecation_warnings",
-    "warn_deprecated",
 ]
 
 #: Default bound on the engine's activation-query cache (entries, LRU).
@@ -104,68 +94,23 @@ CLUSTER_PROCESS_MODELS = ("fork", "thread")
 
 
 # ---------------------------------------------------------------------------
-# Warn-once deprecation machinery
-# ---------------------------------------------------------------------------
-
-#: ``"Owner.kwarg"`` keys that already produced their DeprecationWarning.
-_warned_kwargs: Set[str] = set()
-
-
-def warn_deprecated(owner: str, kwarg: str, replacement: str) -> None:
-    """Emit the deprecation warning for ``owner(kwarg=...)`` once per process.
-
-    Python's own ``once`` warning filter is keyed on the call site, which
-    makes "exactly once per old kwarg" unreliable under pytest's filter
-    resets; this registry is keyed on ``owner.kwarg`` instead.
-    """
-    key = f"{owner}.{kwarg}"
-    if key in _warned_kwargs:
-        return
-    _warned_kwargs.add(key)
-    # Every call chain is user code -> consumer __init__ -> a coalescing
-    # helper -> coalesce_legacy_kwargs -> here, so level 5 attributes the
-    # warning to the user's call site (where default filters display it).
-    warnings.warn(
-        f"{owner}({kwarg}=...) is deprecated; set the {replacement!r} field on "
-        "the typed config instead (see docs/api.md for the migration table)",
-        DeprecationWarning,
-        stacklevel=5,
-    )
-
-
-def reset_deprecation_warnings() -> None:
-    """Forget which deprecated kwargs have warned (test isolation hook)."""
-    _warned_kwargs.clear()
-
-
-def coalesce_legacy_kwargs(
-    owner: str,
-    legacy: Mapping[str, Any],
-    mapping: Mapping[str, str],
-) -> Dict[str, Any]:
-    """Validate and translate legacy kwargs to config-field assignments.
-
-    ``mapping`` maps each accepted legacy kwarg to the dotted config field
-    that replaces it (used both for the warning text and as the returned
-    key).  Unknown kwargs raise :class:`ConfigError` naming the owner, like
-    the ``TypeError`` they would have produced before — but catchable as a
-    :class:`~repro.errors.ReproError`.
-    """
-    translated: Dict[str, Any] = {}
-    for kwarg, value in legacy.items():
-        if kwarg not in mapping:
-            raise ConfigError(
-                f"{owner}() got an unexpected keyword argument {kwarg!r} "
-                f"(known legacy options: {sorted(mapping)})"
-            )
-        warn_deprecated(owner, kwarg, mapping[kwarg])
-        translated[mapping[kwarg]] = value
-    return translated
-
-
-# ---------------------------------------------------------------------------
 # Validation helpers
 # ---------------------------------------------------------------------------
+
+
+def typed_config(owner: str, name: str, value: Any, expected: type, default: Any = None) -> Any:
+    """``value`` checked to be an ``expected`` config (``default`` when None).
+
+    A missing ``default`` means ``expected()``.  A wrongly typed value
+    raises :class:`ConfigError` naming ``owner(name=...)``.
+    """
+    if value is None:
+        return default if default is not None else expected()
+    if not isinstance(value, expected):
+        raise ConfigError(
+            f"{owner}({name}=...) must be a {expected.__name__}, got {value!r}"
+        )
+    return value
 
 
 def _require_bool(config: str, name: str, value: Any) -> None:
@@ -217,10 +162,9 @@ class CacheConfig:
     #: Bound on the fragment cache (entries; None = unbounded).
     fragment_cache_size: Optional[int] = DEFAULT_FRAGMENT_CACHE_SIZE
     #: Key caches on per-table version vectors instead of the global state
-    #: version (fine-grained invalidation).
+    #: version (fine-grained invalidation), and reuse unchanged subtrees
+    #: during reactivation.
     dependency_tracking: bool = True
-    #: Reuse unchanged subtrees during reactivation (requires tracking).
-    delta_reactivation: bool = True
     #: Stale cached results: ``"incremental"`` patches them through delta
     #: programs, ``"recompute"`` re-executes (requires tracking to matter).
     maintenance: str = "recompute"
@@ -232,7 +176,6 @@ class CacheConfig:
         _require_bool("CacheConfig", "activation_queries", self.activation_queries)
         _require_bool("CacheConfig", "fragments", self.fragments)
         _require_bool("CacheConfig", "dependency_tracking", self.dependency_tracking)
-        _require_bool("CacheConfig", "delta_reactivation", self.delta_reactivation)
         _require_optional_size(
             "CacheConfig", "activation_cache_size", self.activation_cache_size
         )
@@ -258,7 +201,6 @@ class CacheConfig:
             activation_queries=False,
             fragments=False,
             dependency_tracking=False,
-            delta_reactivation=False,
         )
 
 
@@ -441,44 +383,6 @@ class EngineConfig:
             raise ConfigError(
                 f"EngineConfig.storage must be a StorageConfig, got {self.storage!r}"
             )
-
-    #: Legacy ``HildaEngine`` kwargs -> the config fields replacing them.
-    LEGACY_KWARGS = {
-        "optimize": "optimize",
-        "auto_index": "auto_index",
-        "compile_expressions": "compile_expressions",
-        "reactivation": "reactivation",
-        "record_history": "record_history",
-        "cache_activation_queries": "cache.activation_queries",
-        "activation_cache_size": "cache.activation_cache_size",
-        "dependency_tracking": "cache.dependency_tracking",
-        "delta_reactivation": "cache.delta_reactivation",
-    }
-
-    @classmethod
-    def from_legacy(
-        cls,
-        config: Optional["EngineConfig"],
-        legacy: Mapping[str, Any],
-        owner: str = "HildaEngine",
-        allowed: Optional[Mapping[str, str]] = None,
-    ) -> "EngineConfig":
-        """Merge deprecated kwargs into ``config`` (warning once per kwarg).
-
-        ``allowed`` restricts the accepted legacy kwargs (the SQL executor
-        only ever took the three planner/compiler switches).
-        """
-        base = config if config is not None else cls()
-        if not isinstance(base, EngineConfig):
-            raise ConfigError(f"{owner}(config=...) must be an EngineConfig, got {base!r}")
-        if not legacy:
-            return base
-        translated = coalesce_legacy_kwargs(
-            owner,
-            legacy,
-            dict(allowed if allowed is not None else cls.LEGACY_KWARGS),
-        )
-        return base.updated(translated)
 
     def updated(self, assignments: Mapping[str, Any]) -> "EngineConfig":
         """A copy with dotted-field ``assignments`` applied (``cache.x`` nests)."""

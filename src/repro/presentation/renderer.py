@@ -87,11 +87,6 @@ class PageRenderer:
     ----------
     cache_fragments:
         Cache rendered fragments between requests (Section 6.2).
-    dependency_tracking:
-        Key cached fragments on the subtree's dependency fingerprint instead
-        of the engine-global state version.  Defaults to the engine's own
-        ``dependency_tracking`` setting so renderer and engine agree on the
-        invalidation model.
     fragment_cache_size:
         Bound on the fragment cache in entries (LRU eviction past the
         bound; None = unbounded).
@@ -102,16 +97,15 @@ class PageRenderer:
         engine: "HildaEngine",
         action_url: str = DEFAULT_ACTION_URL,
         cache_fragments: bool = False,
-        dependency_tracking: Optional[bool] = None,
         fragment_cache_size: Optional[int] = DEFAULT_FRAGMENT_CACHE_SIZE,
     ) -> None:
         self.engine = engine
         self.program = engine.program
         self.action_url = action_url
         self.cache_fragments = cache_fragments
-        self.dependency_tracking = (
-            engine.dependency_tracking if dependency_tracking is None else dependency_tracking
-        )
+        #: Key cached fragments on the subtree's dependency fingerprint
+        #: (else on the engine-global state version), as the engine does.
+        self.dependency_tracking = engine.dependency_tracking
         self.fragment_cache_size = fragment_cache_size
         self.stats = RenderStats()
         #: (instance id, PUnit name) -> (stamp, html): the fragment as last

@@ -28,7 +28,7 @@ to the old tree's by label, and four rules decide what work is done:
 4. **run once what is asked twice** — within one pass (:meth:`sharing`) a
    flat assignment over the same tuple and vector runs once, shared.
 
-With dependency tracking or delta reactivation off every vector is absent:
+With dependency tracking off every vector is absent:
 everything executes and nothing is adopted, on the same path.
 """
 
@@ -138,7 +138,7 @@ class ActivationBuilder:
         #: tree completely untouched.
         self._pending_reparent: List[Tuple[AUnitInstance, AUnitInstance]] = []
         #: Vectors are recorded at all (else every one is absent).
-        self._tracked = engine.dependency_tracking and engine.delta_reactivation
+        self._tracked = engine.dependency_tracking
         #: (AUnit, activator) -> per input assignment (tables read, refusal);
         #: see :meth:`_input_plan`.
         self._input_plans: Dict[Tuple[str, str], List[Tuple[FrozenSet[str], Optional[str]]]] = {}
@@ -159,7 +159,7 @@ class ActivationBuilder:
         """Build (or rebuild) the activation tree of one session.
 
         ``old_root`` is the session's previous tree during reactivation;
-        when delta reactivation is enabled its dependency records drive
+        under dependency tracking its dependency records drive
         subtree reuse (see module doc).
         """
         with self.engine.id_scope(session_id):

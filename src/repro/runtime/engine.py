@@ -36,7 +36,7 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.config import DEFAULT_ACTIVATION_CACHE_SIZE, EngineConfig
+from repro.config import EngineConfig, typed_config
 from repro.errors import (
     ConflictError,
     HandlerError,
@@ -93,13 +93,8 @@ class HildaEngine:
         rebuilds every session's tree after each operation, ``"lazy"``
         defers other sessions until accessed), ``record_history``, and a
         nested :class:`~repro.config.CacheConfig` for activation-query
-        caching, dependency tracking, delta reactivation and cache bounds
-        (see ``docs/caching.md``).
-    **legacy_options:
-        The pre-config keyword arguments (``optimize=...``,
-        ``cache_activation_queries=...``, ...) are still accepted and are
-        merged onto ``config``, each emitting a ``DeprecationWarning`` once
-        per process.  See ``docs/api.md`` for the migration table.
+        caching, dependency tracking, incremental maintenance and cache
+        bounds (see ``docs/caching.md``).
     """
 
     def __init__(
@@ -107,9 +102,8 @@ class HildaEngine:
         program: HildaProgram,
         functions: Optional[FunctionRegistry] = None,
         config: Optional[EngineConfig] = None,
-        **legacy_options: Any,
     ) -> None:
-        config = EngineConfig.from_legacy(config, legacy_options, owner="HildaEngine")
+        config = typed_config("HildaEngine", "config", config, EngineConfig)
         self.config = config
         self.program = program
         self.functions = functions or self._default_functions()
@@ -125,7 +119,6 @@ class HildaEngine:
         self.reactivation = config.reactivation
         self.cache_activation_queries = config.cache.activation_queries
         self.dependency_tracking = config.cache.dependency_tracking
-        self.delta_reactivation = config.cache.delta_reactivation
         self.activation_cache_size = config.cache.activation_cache_size
         #: ``"incremental"`` patches stale cached activation results through
         #: per-plan delta programs; ``"recompute"`` (default) re-executes.

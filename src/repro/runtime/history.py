@@ -16,12 +16,18 @@ concurrency benchmarks to validate simulated interleavings.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Deque, List, Optional, Set
 
 from repro.runtime.operations import ApplyResult, Operation, OperationStatus
 
-__all__ = ["HistoryEntry", "ExecutionHistory", "HistoryChecker"]
+__all__ = ["HistoryEntry", "ExecutionHistory", "HistoryChecker", "HISTORY_LIMIT"]
+
+#: How many of the most recent entries an :class:`ExecutionHistory` keeps.
+#: Each entry copies the active-instance set, so an unbounded log would grow
+#: with operations x forest size on a long-running server.
+HISTORY_LIMIT = 4096
 
 
 @dataclass
@@ -42,10 +48,17 @@ class HistoryEntry:
 
 
 class ExecutionHistory:
-    """A log of all operations applied by an engine."""
+    """A log of the last :data:`HISTORY_LIMIT` operations applied by an engine.
+
+    Older entries are evicted and counted in :attr:`dropped`.  Every check
+    :class:`HistoryChecker` makes is per entry or between adjacent entries,
+    so it stays sound on the retained suffix.
+    """
 
     def __init__(self) -> None:
-        self.entries: List[HistoryEntry] = []
+        self.entries: Deque[HistoryEntry] = deque(maxlen=HISTORY_LIMIT)
+        #: Entries evicted from the front of :attr:`entries`.
+        self.dropped = 0
 
     def record(
         self,
@@ -64,6 +77,8 @@ class ExecutionHistory:
             state_version_after=state_version_after,
             forest_size_after=forest_size_after,
         )
+        if len(self.entries) == self.entries.maxlen:
+            self.dropped += 1
         self.entries.append(entry)
         return entry
 
@@ -93,7 +108,7 @@ class HistoryChecker:
         """True when the history satisfies the correctness criterion."""
         self.violations = []
         previous_version: Optional[int] = None
-        for index, entry in enumerate(self.history.entries):
+        for index, entry in enumerate(self.history.entries, start=self.history.dropped):
             operation = entry.operation
 
             # Allowability: an applied operation's instance must have been

@@ -29,7 +29,7 @@ from __future__ import annotations
 import threading
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
-from repro.config import EngineConfig
+from repro.config import EngineConfig, typed_config
 from repro.errors import SQLExecutionError, UnknownTableError
 from repro.relational.database import Catalog
 from repro.relational.functions import FunctionRegistry, default_registry
@@ -149,19 +149,7 @@ class SQLExecutor:
         merged replacement tables for queries that must read beyond the
         local shard; queries it declines run purely locally.  None (the
         default) outside cluster workers.
-    **legacy_options:
-        The pre-config keyword arguments (``optimize=...``,
-        ``auto_index=...``, ``compile_expressions=...``) are still accepted
-        and merged onto ``config``, each emitting a ``DeprecationWarning``
-        once per process.  See ``docs/api.md``.
     """
-
-    #: Legacy kwargs -> the EngineConfig fields replacing them.
-    LEGACY_KWARGS = {
-        "optimize": "optimize",
-        "auto_index": "auto_index",
-        "compile_expressions": "compile_expressions",
-    }
 
     def __init__(
         self,
@@ -170,11 +158,8 @@ class SQLExecutor:
         config: Optional[EngineConfig] = None,
         caches: Optional[SQLCaches] = None,
         scatter: Optional[Any] = None,
-        **legacy_options: Any,
     ) -> None:
-        config = EngineConfig.from_legacy(
-            config, legacy_options, owner="SQLExecutor", allowed=self.LEGACY_KWARGS
-        )
+        config = typed_config("SQLExecutor", "config", config, EngineConfig)
         self.config = config
         self.catalog = catalog
         self.functions = functions or default_registry()

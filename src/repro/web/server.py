@@ -34,11 +34,10 @@ import threading
 import urllib.error
 import urllib.parse
 import urllib.request
-from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from repro.config import ClusterConfig, ServerConfig, coalesce_legacy_kwargs
+from repro.config import ClusterConfig, ServerConfig, typed_config
 from repro.errors import ConfigError
 from repro.web.container import HildaApplication
 from repro.web.http import (
@@ -170,45 +169,6 @@ class _ThreadingServer(ThreadingHTTPServer):
         super().handle_error(request, client_address)
 
 
-def _coalesce_server_config(
-    owner: str,
-    config: Optional[ServerConfig],
-    legacy_options: Dict[str, Any],
-    default: Optional[ServerConfig] = None,
-) -> ServerConfig:
-    """Resolve a :class:`ServerConfig` plus any deprecated host/port/verbose
-    kwargs (each warning once per process)."""
-    if isinstance(config, str):
-        # Old positional signature: (application, host, port, verbose) —
-        # the host string landed in the config slot and any further
-        # positional values slid one slot right.  Recover them by type
-        # (port is a non-bool int, verbose a bool; keyword-passed values
-        # are already in the right slot), then let the legacy shim warn.
-        host = legacy_options.get("host")
-        port = legacy_options.get("port")
-        legacy_options = {
-            "host": config,
-            "port": host if isinstance(host, int) and not isinstance(host, bool) else port,
-            "verbose": port if isinstance(port, bool) else legacy_options.get("verbose"),
-        }
-        config = None
-    if config is not None and not isinstance(config, ServerConfig):
-        raise ConfigError(f"{owner}(config=...) must be a ServerConfig, got {config!r}")
-    resolved = config if config is not None else (default or ServerConfig())
-    legacy = {key: value for key, value in legacy_options.items() if value is not None}
-    if legacy:
-        translated = coalesce_legacy_kwargs(
-            owner,
-            legacy,
-            {"host": "config.host", "port": "config.port", "verbose": "config.verbose"},
-        )
-        resolved = replace(
-            resolved,
-            **{dotted.partition(".")[2]: value for dotted, value in translated.items()},
-        )
-    return resolved
-
-
 class ThreadedHildaServer:
     """Serve a :class:`HildaApplication` over real sockets, one thread per
     connection.
@@ -219,23 +179,15 @@ class ThreadedHildaServer:
     ...     browser.login("alice")
 
     ``config`` is a typed :class:`~repro.config.ServerConfig` (binding,
-    backlog, logging); the pre-config ``host=``/``port=``/``verbose=``
-    kwargs are still accepted with a one-time ``DeprecationWarning`` each.
+    backlog, logging, optional cluster).
     """
 
     def __init__(
         self,
         application: HildaApplication,
         config: Optional[ServerConfig] = None,
-        host: Optional[str] = None,
-        port: Optional[int] = None,
-        verbose: Optional[bool] = None,
     ) -> None:
-        config = _coalesce_server_config(
-            "ThreadedHildaServer",
-            config,
-            {"host": host, "port": port, "verbose": verbose},
-        )
+        config = typed_config("ThreadedHildaServer", "config", config, ServerConfig)
         self.application = application
         self.config = config
         #: What the HTTP handlers actually call: the application itself, or a
@@ -348,22 +300,13 @@ class ThreadedHildaServer:
 def serve(
     application: HildaApplication,
     config: Optional[ServerConfig] = None,
-    host: Optional[str] = None,
-    port: Optional[int] = None,
-    verbose: Optional[bool] = None,
 ) -> None:
     """Run ``application`` in the foreground (Ctrl-C to stop).
 
     ``config`` defaults to :meth:`ServerConfig.foreground` (port 8080,
-    request logging on); the legacy ``host=``/``port=``/``verbose=`` kwargs
-    keep working with a one-time ``DeprecationWarning`` each.
+    request logging on).
     """
-    config = _coalesce_server_config(
-        "serve",
-        config,
-        {"host": host, "port": port, "verbose": verbose},
-        default=ServerConfig.foreground(),
-    )
+    config = typed_config("serve", "config", config, ServerConfig, ServerConfig.foreground())
     server = ThreadedHildaServer(application, config=config)
     print(f"Serving {application.program.root_name} on {server.url}")
     server.serve_forever()

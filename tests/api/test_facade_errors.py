@@ -84,12 +84,12 @@ def test_every_failure_is_a_named_repro_error(guestbook_source):
     assert not failures, "\n".join(failures)
 
 
-def test_engine_rejects_unknown_kwargs_as_repro_errors(guestbook_source):
+def test_engine_rejects_a_wrongly_typed_config_as_a_repro_error(guestbook_source):
     program = api.build_program(guestbook_source)
     from repro.runtime.engine import HildaEngine
 
     with pytest.raises(ReproError):
-        HildaEngine(program, not_a_knob=1)
+        HildaEngine(program, config={"optimize": False})
 
 
 def test_builder_errors_name_the_offender():

@@ -28,6 +28,7 @@ from repro.apps.minicms import (
     STUDENT2_USER,
     seed_paper_scenario,
 )
+from repro.config import CacheConfig, EngineConfig
 from repro.presentation.renderer import PageRenderer
 from repro.runtime.engine import HildaEngine
 
@@ -60,10 +61,12 @@ class _Stack:
     def __init__(self, program, optimized: bool, lazy: bool) -> None:
         self.engine = HildaEngine(
             program,
-            cache_activation_queries=optimized,
-            dependency_tracking=optimized,
-            delta_reactivation=optimized,
-            reactivation="lazy" if lazy else "eager",
+            config=EngineConfig(
+                cache=CacheConfig(
+                    activation_queries=optimized, dependency_tracking=optimized
+                ),
+                reactivation="lazy" if lazy else "eager",
+            ),
         )
         seed_paper_scenario(self.engine)
         self.renderer = PageRenderer(self.engine, cache_fragments=optimized)

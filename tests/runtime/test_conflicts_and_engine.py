@@ -12,6 +12,7 @@ from repro.apps.minicms import (
     load_minicms,
     seed_paper_scenario,
 )
+from repro.config import EngineConfig
 from repro.runtime.concurrency import (
     OPTIMISTIC,
     PESSIMISTIC,
@@ -20,6 +21,7 @@ from repro.runtime.concurrency import (
     Intent,
 )
 from repro.runtime.engine import HildaEngine
+from repro.runtime import history as history_module
 from repro.runtime.history import HistoryChecker
 from repro.runtime.operations import OperationStatus
 
@@ -111,7 +113,7 @@ class TestConflictDetection:
 
 class TestLazyReactivation:
     def test_lazy_mode_defers_other_sessions(self, minicms_program):
-        engine = HildaEngine(minicms_program, reactivation="lazy")
+        engine = HildaEngine(minicms_program, config=EngineConfig(reactivation="lazy"))
         seed_paper_scenario(engine)
         session1 = engine.start_session({"user": [(STUDENT1_USER,)]})
         session2 = engine.start_session({"user": [(STUDENT2_USER,)]})
@@ -126,7 +128,7 @@ class TestLazyReactivation:
     def test_lazy_and_eager_reach_the_same_state(self, minicms_program):
         outcomes = {}
         for mode in ("eager", "lazy"):
-            engine = HildaEngine(minicms_program, reactivation=mode)
+            engine = HildaEngine(minicms_program, config=EngineConfig(reactivation=mode))
             seed_paper_scenario(engine)
             session1 = engine.start_session({"user": [(STUDENT1_USER,)]})
             session2 = engine.start_session({"user": [(STUDENT2_USER,)]})
@@ -138,7 +140,7 @@ class TestLazyReactivation:
 
     def test_invalid_mode_rejected(self, minicms_program):
         with pytest.raises(ValueError):
-            HildaEngine(minicms_program, reactivation="sometimes")
+            HildaEngine(minicms_program, config=EngineConfig(reactivation="sometimes"))
 
 
 class TestEngineHistory:
@@ -167,8 +169,21 @@ class TestEngineHistory:
         assert not checker.check()
         assert "was applied" in checker.explain()
 
+    def test_history_keeps_a_bounded_suffix(self, two_students, monkeypatch):
+        monkeypatch.setattr(history_module, "HISTORY_LIMIT", 4)
+        engine, session1, _ = two_students
+        engine.history = history_module.ExecutionHistory()
+        engine.perform(withdraw_instance(engine, session1).instance_id)
+        for _ in range(6):
+            engine.perform(99999)  # conflict
+        assert len(engine.history) == 4
+        assert engine.history.dropped == 3
+        assert [entry.status for entry in engine.history] == [OperationStatus.CONFLICT] * 4
+        checker = HistoryChecker(engine.history)
+        assert checker.check(), checker.explain()
+
     def test_history_can_be_disabled(self, minicms_program):
-        engine = HildaEngine(minicms_program, record_history=False)
+        engine = HildaEngine(minicms_program, config=EngineConfig(record_history=False))
         seed_paper_scenario(engine)
         session = engine.start_session({"user": [(ADMIN_USER,)]})
         assert engine.history is None

@@ -10,6 +10,7 @@ clean and must be reused, while the stale student instances still conflict.
 from __future__ import annotations
 
 import datetime
+from dataclasses import replace
 
 import pytest
 
@@ -20,14 +21,19 @@ from repro.apps.minicms import (
     load_minicms,
     seed_paper_scenario,
 )
+from repro.config import CacheConfig, EngineConfig
 from repro.presentation.renderer import PageRenderer
 from repro.runtime.engine import HildaEngine
 from repro.runtime.operations import OperationStatus
 
+#: The engine configuration most tests here run: activation-query caching on
+#: top of the default dependency tracking.
+CACHED = EngineConfig(cache=CacheConfig(activation_queries=True))
+
 
 @pytest.fixture
 def engine(minicms_program):
-    engine = HildaEngine(minicms_program, cache_activation_queries=True)
+    engine = HildaEngine(minicms_program, config=CACHED)
     seed_paper_scenario(engine)
     return engine
 
@@ -90,7 +96,9 @@ class TestDeltaReactivation:
         assert "HW9" in names
 
     def test_delta_disabled_rebuilds_everything(self, minicms_program):
-        engine = HildaEngine(minicms_program, delta_reactivation=False)
+        engine = HildaEngine(
+            minicms_program, config=EngineConfig(cache=CacheConfig(dependency_tracking=False))
+        )
         seed_paper_scenario(engine)
         _, s1, _ = _sessions(engine)
         result = _withdraw(engine, s1)
@@ -124,7 +132,7 @@ class TestDeltaReactivation:
             }
         }
         """
-        engine = HildaEngine(load_program(source), cache_activation_queries=True)
+        engine = HildaEngine(load_program(source), config=CACHED)
         engine.seed_persistent({"left": [(1,)], "right": [(1, 1)]})
         session = engine.start_session({"user": [("u",)]})
         root = engine.session_tree(session)
@@ -148,9 +156,7 @@ class TestDeltaReactivation:
         assert engine._builder._memo is None
 
     def test_lazy_mode_delta_refresh(self, minicms_program):
-        engine = HildaEngine(
-            minicms_program, reactivation="lazy", cache_activation_queries=True
-        )
+        engine = HildaEngine(minicms_program, config=replace(CACHED, reactivation="lazy"))
         seed_paper_scenario(engine)
         admin, s1, _ = _sessions(engine)
         before = [
@@ -214,7 +220,7 @@ class TestReactivationRules:
     def rules_engine(self):
         from repro.hilda.program import load_program
 
-        engine = HildaEngine(load_program(_RULES_SOURCE), cache_activation_queries=True)
+        engine = HildaEngine(load_program(_RULES_SOURCE), config=CACHED)
         engine.seed_persistent({"item": [(1, "one"), (2, "two")]})
         return engine
 
@@ -343,7 +349,7 @@ class TestReactivationRules:
         # NavCMS filters its activators (Figure 13); filters run per-row
         # queries whose reads are not recorded, so its sessions are never
         # fully tracked and must be rebuilt on every pass.
-        engine = HildaEngine(navcms_program, cache_activation_queries=True)
+        engine = HildaEngine(navcms_program, config=CACHED)
         seed_paper_scenario(engine)
         acting = engine.start_session({"user": [(ADMIN_USER,)]})
         bystander = engine.start_session({"user": [(ADMIN_USER,)]})
@@ -359,9 +365,7 @@ class TestReactivationRules:
         assert engine.session_tree(bystander) is not root
 
     def test_lazy_local_post_marks_no_tracked_bystander_dirty(self, minicms_program):
-        engine = HildaEngine(
-            minicms_program, reactivation="lazy", cache_activation_queries=True
-        )
+        engine = HildaEngine(minicms_program, config=replace(CACHED, reactivation="lazy"))
         seed_paper_scenario(engine)
         admin, s1, s2 = _sessions(engine)
         values = ["Draft", datetime.date(2006, 4, 1), datetime.date(2006, 4, 2)]
@@ -391,8 +395,9 @@ class TestActivationCache:
     def test_global_version_mode_invalidates_everything(self, minicms_program):
         engine = HildaEngine(
             minicms_program,
-            cache_activation_queries=True,
-            dependency_tracking=False,
+            config=EngineConfig(
+                cache=CacheConfig(activation_queries=True, dependency_tracking=False)
+            ),
         )
         seed_paper_scenario(engine)
         admin, s1, _ = _sessions(engine)
@@ -407,8 +412,9 @@ class TestActivationCache:
     def test_cache_is_lru_bounded(self, minicms_program):
         engine = HildaEngine(
             minicms_program,
-            cache_activation_queries=True,
-            activation_cache_size=4,
+            config=EngineConfig(
+                cache=CacheConfig(activation_queries=True, activation_cache_size=4)
+            ),
         )
         seed_paper_scenario(engine)
         _sessions(engine)

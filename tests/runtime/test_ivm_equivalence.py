@@ -74,7 +74,6 @@ def _cache_config(variant: str) -> CacheConfig:
     return CacheConfig(
         activation_queries=True,
         dependency_tracking=True,
-        delta_reactivation=True,
         maintenance="incremental" if variant == "incremental" else "recompute",
     )
 

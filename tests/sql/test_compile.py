@@ -14,6 +14,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.config import EngineConfig
 from repro.errors import SQLBindingError, SQLExecutionError
 from repro.relational.database import Database
 from repro.relational.functions import default_registry
@@ -206,8 +207,8 @@ class TestExecutorFallback:
             "SELECT C.cname FROM course C WHERE EXISTS "
             "(SELECT 1 FROM student S WHERE S.cid = C.cid)"
         )
-        compiled_executor = SQLExecutor(db, compile_expressions=True)
-        interpreted_executor = SQLExecutor(db, compile_expressions=False)
+        compiled_executor = SQLExecutor(db, config=EngineConfig(compile_expressions=True))
+        interpreted_executor = SQLExecutor(db, config=EngineConfig(compile_expressions=False))
         assert sorted(compiled_executor.query_rows(query)) == sorted(
             interpreted_executor.query_rows(query)
         )
@@ -226,8 +227,8 @@ class TestExecutorFallback:
 
     def test_compiled_run_mostly_bypasses_interpreter(self, db):
         query = "SELECT cname FROM course WHERE cid = 10 OR cid > 11"
-        compiled_executor = SQLExecutor(db, compile_expressions=True)
-        interpreted_executor = SQLExecutor(db, compile_expressions=False)
+        compiled_executor = SQLExecutor(db, config=EngineConfig(compile_expressions=True))
+        interpreted_executor = SQLExecutor(db, config=EngineConfig(compile_expressions=False))
         assert compiled_executor.query_rows(query) == interpreted_executor.query_rows(query)
         assert compiled_executor.stats.interpreted_evals == 0
         assert compiled_executor.stats.compiled_evals > 0

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
+from repro.config import EngineConfig
 from repro.relational.database import Database
 from repro.relational.schema import Column, TableSchema
 from repro.relational.types import DataType
@@ -29,8 +30,8 @@ def test_hash_join_equals_nested_loop_join(rows_r, rows_s):
     """The optimizer's hash join must produce exactly the nested-loop result."""
     db = make_db(rows_r, rows_s)
     query = "SELECT r.a, r.b, s.c, s.d FROM r, s WHERE r.a = s.c"
-    optimized = sorted(SQLExecutor(db, optimize=True).query_rows(query))
-    naive = sorted(SQLExecutor(db, optimize=False).query_rows(query))
+    optimized = sorted(SQLExecutor(db, config=EngineConfig(optimize=True)).query_rows(query))
+    naive = sorted(SQLExecutor(db, config=EngineConfig(optimize=False)).query_rows(query))
     assert optimized == naive
 
 

@@ -47,7 +47,6 @@ def _engine(data_dir: str) -> HildaEngine:
         cache=CacheConfig(
             activation_queries=True,
             dependency_tracking=True,
-            delta_reactivation=True,
             maintenance="incremental",
         ),
         storage=StorageConfig.wal(data_dir, checkpoint_every=None),

@@ -13,6 +13,7 @@ import threading
 import pytest
 
 from repro.apps.minicms import ADMIN_USER, seed_paper_scenario
+from repro.config import SessionConfig
 from repro.errors import SessionError
 from repro.web.container import BrowserClient, HildaApplication
 from repro.web.http import Request
@@ -107,7 +108,7 @@ class TestContainerSessionLifecycle:
 
     @pytest.fixture
     def application(self, minicms_program, clock):
-        application = HildaApplication(minicms_program, session_ttl=30.0)
+        application = HildaApplication(minicms_program, sessions=SessionConfig(ttl=30.0))
         application.sessions._clock = clock  # deterministic time for the test
         seed_paper_scenario(application.engine)
         return application
@@ -146,7 +147,7 @@ class TestContainerSessionLifecycle:
         assert response.is_redirect and response.location == "/login"
 
     def test_eviction_closes_engine_session(self, minicms_program):
-        application = HildaApplication(minicms_program, max_sessions=1)
+        application = HildaApplication(minicms_program, sessions=SessionConfig(max_sessions=1))
         seed_paper_scenario(application.engine)
         first = BrowserClient(application)
         second = BrowserClient(application)
