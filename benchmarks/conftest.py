@@ -128,16 +128,13 @@ def write_bench_json(name: str, payload: dict, engines=()) -> str:
         caches = getattr(engine, "sql_caches", None) or getattr(engine, "caches")
         totals = caches.estimation
         estimation.add(totals.checks, totals.underestimates, totals.overestimates)
-        estimation.replans += totals.replans
     document = {
         "benchmark": name,
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "quick_mode": BENCH_QUICK,
         # Estimate-vs-actual q-error totals of the engines this benchmark
-        # ran (EXPLAIN ANALYZE and feedback observation passes): how often
-        # row estimates were checked, how often they missed by more than a
-        # q-error of 2 either way, and how many feedback-driven re-plans
-        # were triggered.
+        # ran (EXPLAIN ANALYZE): how often row estimates were checked and
+        # how often they missed by more than a q-error of 2 either way.
         "estimation": estimation.as_dict(),
     }
     document.update(payload)

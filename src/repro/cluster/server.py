@@ -224,7 +224,7 @@ class ClusterServer:
         )
 
     def _configure_peers(self, strict: bool = True) -> None:
-        # String keys: the msgpack codec (when present) rejects int map keys.
+        # Keys are str(worker index); the worker parses them back with int().
         addresses = {
             str(index): list(address)
             for index, address in enumerate(self._addresses)

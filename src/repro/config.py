@@ -18,8 +18,7 @@ exactly one field that sets it:
   tracking, incremental maintenance, cache bounds).
 * :class:`StorageConfig` — the durable storage backend (``"memory"`` vs
   the opt-in write-ahead-logged ``"wal"`` backend), its data directory,
-  fsync policy, checkpoint cadence and recovery verification
-  (``docs/storage.md``).
+  fsync policy and checkpoint cadence (``docs/storage.md``).
 * :class:`SessionConfig` — web-session lifetime and bounds.
 * :class:`ServerConfig` — HTTP front-end binding and logging, plus an
   optional :class:`ClusterConfig` for multi-process serving.
@@ -64,10 +63,6 @@ REACTIVATION_MODES = ("eager", "lazy")
 
 #: The query-planning strategies the SQL layer implements (docs/optimizer.md).
 OPTIMIZER_STRATEGIES = ("cost", "heuristic")
-
-#: The cardinality estimators the cost-based pipeline can run on
-#: (docs/optimizer.md § "Pessimistic upper bounds").
-CARDINALITY_ESTIMATORS = ("systemr", "pessimistic")
 
 #: How the runtime treats stale cached activation-query results:
 #: ``"incremental"`` patches them in place through per-plan delta programs
@@ -220,20 +215,6 @@ class OptimizerConfig:
     #: FROM lists up to this many relations are join-ordered by dynamic
     #: programming over subsets; larger lists fall back to a greedy ordering.
     dp_threshold: int = 6
-    #: ``"systemr"`` (classic selectivity formulas, the default) or
-    #: ``"pessimistic"`` (UES-style upper bounds: every row estimate is a
-    #: guaranteed cap on actual rows, derived from MCV top frequencies —
-    #: docs/optimizer.md § "Pessimistic upper bounds").
-    estimator: str = "systemr"
-    #: Feedback-driven re-optimization: observe the first execution of each
-    #: cached plan, record true per-node cardinalities in the engine's
-    #: :class:`~repro.sql.optimizer.FeedbackCache`, and re-plan when the
-    #: observed q-error exceeds ``reopt_q_error``
-    #: (docs/optimizer.md § "Feedback-driven re-optimization").
-    feedback: bool = False
-    #: A cached plan whose worst observed per-node q-error exceeds this is
-    #: invalidated so the next execution re-plans with corrected estimates.
-    reopt_q_error: float = 4.0
 
     def __post_init__(self) -> None:
         if self.strategy not in OPTIMIZER_STRATEGIES:
@@ -249,24 +230,6 @@ class OptimizerConfig:
             raise ConfigError(
                 f"OptimizerConfig.dp_threshold must be a positive int, "
                 f"got {self.dp_threshold!r}"
-            )
-        if self.estimator not in CARDINALITY_ESTIMATORS:
-            raise ConfigError(
-                "OptimizerConfig.estimator must be one of "
-                f"{CARDINALITY_ESTIMATORS}, got {self.estimator!r}"
-            )
-        if not isinstance(self.feedback, bool):
-            raise ConfigError(
-                f"OptimizerConfig.feedback must be a bool, got {self.feedback!r}"
-            )
-        if (
-            isinstance(self.reopt_q_error, bool)
-            or not isinstance(self.reopt_q_error, (int, float))
-            or self.reopt_q_error <= 1.0
-        ):
-            raise ConfigError(
-                "OptimizerConfig.reopt_q_error must be a number > 1.0 "
-                f"(a q-error of 1.0 is a perfect estimate), got {self.reopt_q_error!r}"
             )
 
     @classmethod
@@ -296,9 +259,6 @@ class StorageConfig:
     fsync: str = "batch"
     #: Checkpoint after this many transactions (None = never checkpoint).
     checkpoint_every: Optional[int] = 256
-    #: Run :meth:`~repro.relational.table.Table.check_integrity` on every
-    #: table rebuilt by crash recovery, failing loudly on inconsistency.
-    verify_recovery: bool = True
 
     def __post_init__(self) -> None:
         if self.backend not in STORAGE_BACKENDS:
@@ -324,7 +284,6 @@ class StorageConfig:
                 f"got {self.fsync!r}"
             )
         _require_optional_size("StorageConfig", "checkpoint_every", self.checkpoint_every)
-        _require_bool("StorageConfig", "verify_recovery", self.verify_recovery)
 
     @classmethod
     def wal(cls, data_dir: str, **overrides: Any) -> "StorageConfig":

@@ -60,11 +60,6 @@ def size_class(row_count: int) -> int:
     return row_count.bit_length()
 
 
-#: Sentinel for :meth:`ColumnStatistics.frequency_bound` meaning "any value"
-#: (``None`` is a legitimate column value, so it cannot serve as a default).
-_ANY_VALUE = object()
-
-
 @dataclass(frozen=True)
 class ColumnStatistics:
     """Summary statistics of one column (derived from its value histogram)."""
@@ -78,22 +73,14 @@ class ColumnStatistics:
     max_value: Any = None
     #: The most-common values: up to :data:`MCV_SIZE` ``(value, count)``
     #: pairs, most frequent first.  Feeds exact equality selectivities for
-    #: literals in the list and the pessimistic estimator's frequency
-    #: bounds (``docs/optimizer.md`` § "MCV statistics").
+    #: literals in the list (``docs/optimizer.md`` § "MCV statistics").
     mcv: Tuple[Tuple[Any, int], ...] = ()
-    #: Total non-NULL rows in the column (denominator for frequency bounds).
-    non_null_rows: int = 0
 
     def selectivity_of_equality(self, row_count: int) -> float:
         """Estimated fraction of rows matching ``column = <some value>``."""
         if row_count <= 0 or self.distinct <= 0:
             return 0.0
         return max(0.0, (row_count - self.nulls) / row_count) / self.distinct
-
-    @property
-    def max_frequency(self) -> int:
-        """The occurrence count of the most common value (0 when empty)."""
-        return self.mcv[0][1] if self.mcv else 0
 
     @property
     def mcv_total(self) -> int:
@@ -106,26 +93,6 @@ class ColumnStatistics:
             if candidate is value or candidate == value:
                 return count
         return None
-
-    def frequency_bound(self, value: Any = _ANY_VALUE) -> int:
-        """A sound upper bound on how often ``value`` (or any value) occurs.
-
-        A value in the MCV list has its exact count; a value provably
-        outside it can occur at most ``min(least MCV count, rows not
-        covered by the list)`` times — and when the list covers every
-        distinct value, not at all.  Without a specific value the bound is
-        the top frequency (``max_frequency``).
-        """
-        if value is _ANY_VALUE:
-            return self.max_frequency
-        exact = self.mcv_frequency(value)
-        if exact is not None:
-            return exact
-        if self.distinct <= len(self.mcv):
-            return 0  # the list covers every distinct value
-        remaining = max(0, self.non_null_rows - self.mcv_total)
-        least_mcv = self.mcv[-1][1] if self.mcv else remaining
-        return min(least_mcv, remaining)
 
 
 @dataclass(frozen=True)
@@ -252,7 +219,6 @@ class StatisticsMaintainer:
                     min_value=_safe_extreme(histogram, min),
                     max_value=_safe_extreme(histogram, max),
                     mcv=_most_common(histogram),
-                    non_null_rows=sum(histogram.values()),
                 )
             self._snapshot = TableStatistics(
                 table_name=self._table_name,

@@ -414,13 +414,12 @@ class HildaEngine:
             # effects are part of the recovered state).
             self._persist[decl.name] = recovered
             for table in recovered.values():
-                if self.config.storage.verify_recovery:
-                    problems = table.check_integrity()
-                    if problems:
-                        raise RecoveryError(
-                            f"recovered table {decl.name}.{table.name} is "
-                            "inconsistent: " + "; ".join(problems)
-                        )
+                problems = table.check_integrity()
+                if problems:
+                    raise RecoveryError(
+                        f"recovered table {decl.name}.{table.name} is "
+                        "inconsistent: " + "; ".join(problems)
+                    )
                 self.storage.bind_table(decl.name, table)
                 if self.delta_log is not None:
                     self.delta_log.attach(table)

@@ -241,7 +241,9 @@ def _compile_in(node: InExpression, layout, functions) -> RowFn:
         # evaluation errors surface even when the operand is NULL.
         candidates = [fn(row) for fn in value_fns]
         if left is None:
-            return None
+            # NULL matches nothing, but over an empty set the answer is
+            # known: IN is FALSE and NOT IN is TRUE.
+            return negated if not candidates else None
         found = False
         saw_null = False
         for candidate in candidates:

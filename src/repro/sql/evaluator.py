@@ -211,7 +211,9 @@ class Evaluator:
             candidates = [self.evaluate(value, scope) for value in node.values]
 
         if left is None:
-            return None
+            # NULL matches nothing, but over an empty set the answer is
+            # known: IN is FALSE and NOT IN is TRUE.
+            return node.negated if not candidates else None
         found = False
         saw_null = False
         for candidate in candidates:

@@ -51,10 +51,8 @@ from repro.sql.operators import (
     ExecutionStats,
     Operator,
     explain_plan,
-    q_error,
 )
 from repro.sql.delta import describe_maintenance
-from repro.sql.optimizer.feedback import FeedbackCache
 from repro.sql.parser import parse_query, parse_statement
 from repro.sql.stats import EstimationStats
 from repro.sql.planner import Planner, tables_read
@@ -82,7 +80,6 @@ class SQLCaches:
         "compiled",
         "read_sets",
         "live_plans",
-        "feedback",
         "estimation",
         "lock",
     )
@@ -111,12 +108,8 @@ class SQLCaches:
         #: cached only for live plans, so a thread that computed one for a
         #: concurrently evicted plan cannot re-pin it after its cleanup.
         self.live_plans: set = set()
-        #: Observed true cardinalities per plan-node fingerprint, feeding
-        #: feedback-driven re-optimization (docs/optimizer.md).  Engine-
-        #: scoped like the plan cache it corrects; internally locked.
-        self.feedback = FeedbackCache()
-        #: Engine-scoped estimate-vs-actual totals (EXPLAIN ANALYZE and the
-        #: feedback observation pass), surfaced in benchmark artifacts.
+        #: Engine-scoped estimate-vs-actual totals (EXPLAIN ANALYZE),
+        #: surfaced in benchmark artifacts.
         self.estimation = EstimationStats()
         self.lock = threading.Lock()
 
@@ -181,19 +174,7 @@ class SQLExecutor:
     ) -> Relation:
         """Execute a SELECT/UNION query and return the result relation."""
         ast = self._parse_query(query)
-        plan, fingerprint = self._plan_entry(ast)
-        if (
-            self.optimizer_config.feedback
-            and self.optimizer_config.strategy == "cost"
-            and self.scatter is None
-        ):
-            # Feedback-driven re-optimization: the first execution per
-            # (query, stats fingerprint) runs instrumented and records true
-            # per-node cardinalities (docs/optimizer.md § "Feedback-driven
-            # re-optimization").
-            token = (id(ast), fingerprint)
-            if self.caches.feedback.mark_observed(token):
-                return self._observed_execution(ast, token, fingerprint, outer_scope)
+        plan = self._plan(ast)
         overlay = None
         if self.scatter is not None:
             # Cluster hook: a query reading beyond the local shard executes
@@ -204,80 +185,6 @@ class SQLExecutor:
             overlay = self.scatter.overlay_for(ast, self._plan_read_set(plan))
         context = self._context(overlay)
         return plan.execute(context, outer_scope)
-
-    def _observed_execution(
-        self,
-        ast: Query,
-        token: Tuple,
-        fingerprint: Optional[Tuple],
-        outer_scope: Optional[RowScope],
-    ) -> Relation:
-        """Execute an instrumented private plan and feed the feedback loop.
-
-        The cached plan must stay pristine (it is shared across threads and
-        instrumentation rebinds ``execute``), so observation plans a fresh
-        private copy — the same plan the cache holds, since both saw the
-        same statistics.  After executing it, every join-pipeline operator's
-        actual cardinality is recorded in the engine's
-        :class:`~repro.sql.optimizer.feedback.FeedbackCache`; when the worst
-        per-node q-error exceeds ``OptimizerConfig.reopt_q_error`` *and* the
-        observation taught the cache something new, the cached plan entry is
-        invalidated so the next execution re-plans with corrected estimates
-        (and is observed again — the loop ends when observations stop
-        changing recorded cardinalities).
-        """
-        feedback = self.caches.feedback
-        plan = self._make_planner().plan(ast)
-        actuals: Dict[int, Tuple[int, int]] = {}
-        _instrument_plan(plan, actuals)
-        try:
-            result = plan.execute(self._context(), outer_scope)
-        except Exception:
-            # Let the next execution claim the observation instead of
-            # permanently skipping this plan-cache entry.
-            feedback.forget_observation(token)
-            raise
-        checks = self.stats.estimation_checks
-        under = self.stats.estimation_underestimates
-        over = self.stats.estimation_overestimates
-        learned = False
-        worst_q_error = 1.0
-        for operator, (loops, total_rows) in _collect_estimates(plan, actuals):
-            actual = total_rows / max(1, loops)
-            self.stats.record_estimation(operator.estimated_rows, actual)
-            if operator.feedback_key is not None:
-                learned |= feedback.record(operator.feedback_key, actual)
-                worst_q_error = max(
-                    worst_q_error, q_error(operator.estimated_rows, actual)
-                )
-        self.caches.estimation.add(
-            self.stats.estimation_checks - checks,
-            self.stats.estimation_underestimates - under,
-            self.stats.estimation_overestimates - over,
-        )
-        if learned and worst_q_error > self.optimizer_config.reopt_q_error:
-            self._invalidate_plan(ast, fingerprint)
-            feedback.forget_observation(token)
-            self.caches.estimation.replans += 1
-        return result
-
-    def _invalidate_plan(self, query: Query, fingerprint: Optional[Tuple]) -> None:
-        """Drop one (query, stats fingerprint) plan-cache entry."""
-        key = id(query)
-        with self.caches.lock:
-            entry = self._plan_cache.get(key)
-            if entry is None:
-                return
-            kept: List[Tuple[Optional[Tuple], Operator]] = []
-            for entry_fingerprint, plan in entry[1]:
-                if entry_fingerprint == fingerprint:
-                    self._drop_plan_locked(plan)
-                else:
-                    kept.append((entry_fingerprint, plan))
-            if kept:
-                self._plan_cache[key] = (entry[0], kept)
-            else:
-                self._plan_cache.pop(key, None)
 
     def query_rows(self, query: QueryLike) -> List[Tuple[Any, ...]]:
         """Execute a query and return its rows as tuples."""
@@ -335,10 +242,6 @@ class SQLExecutor:
         for operator, (loops, total_rows) in _collect_estimates(plan, actuals):
             actual = total_rows / max(1, loops)
             self.stats.record_estimation(operator.estimated_rows, actual)
-            if operator.feedback_key is not None:
-                # EXPLAIN ANALYZE piggybacks on the same instrumentation the
-                # observation pass uses, so it teaches the feedback cache too.
-                self.caches.feedback.record(operator.feedback_key, actual)
         self.caches.estimation.add(
             self.stats.estimation_checks - checks,
             self.stats.estimation_underestimates - under,
@@ -520,9 +423,6 @@ class SQLExecutor:
                 optimize=self.optimize,
                 auto_index=self.auto_index,
                 config=self.optimizer_config,
-                feedback=self.caches.feedback
-                if self.optimizer_config.feedback
-                else None,
             )
         return Planner(self.catalog, optimize=self.optimize, auto_index=self.auto_index)
 
@@ -531,10 +431,7 @@ class SQLExecutor:
     MAX_PLANS_PER_QUERY = 4
 
     def _plan(self, query: Query) -> Operator:
-        return self._plan_entry(query)[0]
-
-    def _plan_entry(self, query: Query) -> Tuple[Operator, Optional[Tuple]]:
-        """The cached-or-fresh plan plus the stats fingerprint keying it."""
+        """The cached plan whose stats fingerprint is current, or a fresh one."""
         key = id(query)
         with self.caches.lock:
             entry = self._plan_cache.get(key)
@@ -544,7 +441,7 @@ class SQLExecutor:
         # walk never blocks other executors' cache hits.
         for fingerprint, plan in candidates:
             if self._fingerprint_current(fingerprint):
-                return plan, fingerprint
+                return plan
         planner = self._make_planner()
         plan = planner.plan(query)
         fingerprint = getattr(planner, "stats_fingerprint", None) or None
@@ -569,7 +466,7 @@ class SQLExecutor:
                 self._drop_plan_locked(evicted)
             self.caches.live_plans.add(id(plan))
             self._plan_cache[key] = (query, plans)
-        return plan, fingerprint
+        return plan
 
     def _drop_plan_locked(self, plan: Operator) -> None:
         """Forget a superseded plan's cache footprint (caller holds the lock)."""

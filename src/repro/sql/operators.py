@@ -101,12 +101,6 @@ class Operator:
     #: heuristic strategy (whose EXPLAIN output is unchanged).
     estimated_rows: Optional[float] = None
     estimated_cost: Optional[float] = None
-    #: Feedback fingerprint of the join-graph node this operator computes
-    #: (:mod:`repro.sql.optimizer.feedback`); the executor's observation
-    #: pass records the operator's actual output rows under this key.
-    #: ``None`` when feedback-driven re-optimization is off or the operator
-    #: is outside the join pipeline.
-    feedback_key: Optional[Tuple] = None
 
     def execute(self, context: ExecutionContext, outer_scope: Optional[RowScope]) -> Relation:
         raise NotImplementedError

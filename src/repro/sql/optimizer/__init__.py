@@ -19,13 +19,8 @@ planning strategy (``OptimizerConfig(strategy="cost")``); the legacy
 syntactic-order planner remains available as ``strategy="heuristic"``.
 """
 
-from repro.sql.optimizer.cardinality import CardinalityEstimator, PessimisticEstimator
+from repro.sql.optimizer.cardinality import CardinalityEstimator
 from repro.sql.optimizer.cost import CostModel
-from repro.sql.optimizer.feedback import (
-    FeedbackCache,
-    join_fingerprint,
-    leaf_fingerprint,
-)
 from repro.sql.optimizer.joins import BaseRelation, JoinOrderEnumerator, JoinTree
 from repro.sql.optimizer.physical import (
     CostBasedOperatorSelection,
@@ -42,14 +37,10 @@ __all__ = [
     "CostBasedOperatorSelection",
     "CostBasedPlanner",
     "CostModel",
-    "FeedbackCache",
     "ForcedJoinMethodSelection",
     "JoinOrderEnumerator",
     "JoinTree",
     "OperatorAssignment",
-    "PessimisticEstimator",
     "PhysicalOperatorSelection",
     "SelectionContext",
-    "join_fingerprint",
-    "leaf_fingerprint",
 ]

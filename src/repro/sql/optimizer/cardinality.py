@@ -3,29 +3,15 @@
 Stage 2 of the optimizer pipeline (``docs/optimizer.md``): turns the raw
 :class:`~repro.relational.statistics.TableStatistics` maintained by the
 relational layer into row-count estimates for scans, filtered scans and
-joins.  Two estimators implement the stage:
+joins.  :class:`CardinalityEstimator` implements the classic System-R
+formulas, sharpened by most-common-value lists:
 
-* :class:`CardinalityEstimator` — the classic System-R formulas, sharpened
-  by most-common-value lists:
-
-  - equality against a constant: the MCV entry's exact frequency when the
-    literal is in the column's MCV list, the average frequency of the
-    values *outside* the list when it is not, ``1 / distinct(column)``
-    without MCVs;
-  - range comparison: a fixed 1/3;
-  - equi-join: ``1 / max(distinct(left key), distinct(right key))``;
-  - anything unrecognised: a fixed default selectivity.
-
-* :class:`PessimisticEstimator` — UES-style **upper bounds**
-  (``OptimizerConfig.estimator="pessimistic"``): every estimate is a
-  guaranteed cap on the actual row count, with join fanout bounded by the
-  join keys' top frequencies (``docs/optimizer.md`` § "Pessimistic upper
-  bounds").  Ordering by bounds caps worst-case blowup on skewed data at
-  the price of pessimism on well-behaved data.
-
-Both consult the engine's :class:`~repro.sql.optimizer.feedback.FeedbackCache`
-(when feedback is enabled) *before* their formulas: a plan node whose true
-cardinality was observed on a previous execution is priced with the truth.
+* equality against a constant: the MCV entry's exact frequency when the
+  literal is in the column's MCV list, the average frequency of the values
+  *outside* the list when it is not, ``1 / distinct(column)`` without MCVs;
+* range comparison: a fixed 1/3;
+* equi-join: ``1 / max(distinct(left key), distinct(right key))``;
+* anything unrecognised: a fixed default selectivity.
 
 Estimates are never exact — their only job is to order candidate join
 trees.  EXPLAIN ANALYZE (``docs/optimizer.md`` § "Reading estimates")
@@ -34,7 +20,7 @@ reports the q-error of every estimate against actual rows.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional
 
 from repro.errors import UnknownTableError
 from repro.relational.statistics import ColumnStatistics, TableStatistics
@@ -47,7 +33,7 @@ from repro.sql.ast import (
     UnaryOp,
 )
 
-__all__ = ["CardinalityEstimator", "PessimisticEstimator"]
+__all__ = ["CardinalityEstimator"]
 
 #: Comparison operators estimated with the fixed range selectivity.
 _RANGE_OPERATORS = {"<", "<=", ">", ">="}
@@ -61,15 +47,7 @@ class CardinalityEstimator:
     non-:class:`~repro.relational.table.Table` objects), falling back to
     fixed default selectivities, so it can run against any catalog the
     executor accepts.
-
-    ``feedback`` is the engine's
-    :class:`~repro.sql.optimizer.feedback.FeedbackCache` (None when
-    feedback-driven re-optimization is off): observed true cardinalities
-    override the formulas per plan-node fingerprint.
     """
-
-    #: True on estimators whose row estimates are guaranteed upper bounds.
-    pessimistic = False
 
     #: Selectivity of an equality whose column has no statistics.
     DEFAULT_EQUALITY = 0.1
@@ -84,9 +62,8 @@ class CardinalityEstimator:
     #: Assumed size of a relation without statistics (derived tables).
     DEFAULT_ROWS = 1000.0
 
-    def __init__(self, catalog, feedback=None) -> None:
+    def __init__(self, catalog) -> None:
         self.catalog = catalog
-        self.feedback = feedback
         self._stats_cache: Dict[str, Optional[TableStatistics]] = {}
 
     # -- base tables ----------------------------------------------------------
@@ -109,19 +86,6 @@ class CardinalityEstimator:
     def base_rows(self, table_name: Optional[str]) -> float:
         stats = self.table_statistics(table_name)
         return float(stats.row_count) if stats is not None else self.DEFAULT_ROWS
-
-    # -- observed cardinalities (feedback) -------------------------------------
-
-    def feedback_rows(self, fingerprint: Optional[Tuple]) -> Optional[float]:
-        """The observed true cardinality of a plan node, when recorded."""
-        if self.feedback is None or fingerprint is None:
-            return None
-        return self.feedback.lookup(fingerprint)
-
-    def leaf_rows(self, estimated: float, fingerprint: Optional[Tuple]) -> float:
-        """A leaf estimate, overridden by its observed cardinality if any."""
-        observed = self.feedback_rows(fingerprint)
-        return estimated if observed is None else observed
 
     # -- single-relation predicates -------------------------------------------
 
@@ -204,7 +168,8 @@ class CardinalityEstimator:
         if outside_distinct <= 0:
             # The list covers every stored value: the literal matches nothing.
             return 1.0 / max(1.0, float(row_count))
-        outside_rows = max(0, column_stats.non_null_rows - column_stats.mcv_total)
+        non_null_rows = row_count - column_stats.nulls
+        outside_rows = max(0, non_null_rows - column_stats.mcv_total)
         average = max(1.0, outside_rows / outside_distinct)
         return min(1.0, average / row_count)
 
@@ -226,10 +191,6 @@ class CardinalityEstimator:
 
     # -- joins ----------------------------------------------------------------
 
-    def leaf_profile(self, relation) -> Dict[str, float]:
-        """The frequency profile of a join-graph leaf (pessimistic only)."""
-        return {}
-
     def join_rows(
         self,
         left_rows: float,
@@ -237,28 +198,17 @@ class CardinalityEstimator:
         left_keys,
         right_keys,
         stats_by_qualifier: Mapping[str, Optional[TableStatistics]],
-        left_profile: Mapping[str, float],
-        fingerprint: Optional[Tuple] = None,
-    ) -> Tuple[float, Mapping[str, float]]:
+    ) -> float:
         """Estimated output rows of joining an intermediate with one leaf.
 
         ``candidate`` is the :class:`~repro.sql.optimizer.joins.BaseRelation`
-        being attached; empty ``right_keys`` means a cross join.  Returns
-        the row estimate and the updated frequency profile (which only the
-        pessimistic estimator maintains).
+        being attached; empty ``right_keys`` means a cross join.
         """
-        observed = self.feedback_rows(fingerprint)
-        if observed is not None:
-            return observed, left_profile
-        if right_keys:
-            selectivity = self.join_selectivity(
-                left_keys, right_keys, stats_by_qualifier
-            )
-            output_rows = left_rows * candidate.est_rows * selectivity
-        else:
-            output_rows = left_rows * candidate.est_rows
-        output_rows = max(0.0, min(output_rows, left_rows * candidate.est_rows))
-        return output_rows, left_profile
+        cross = left_rows * candidate.est_rows
+        if not right_keys:
+            return cross
+        selectivity = self.join_selectivity(left_keys, right_keys, stats_by_qualifier)
+        return max(0.0, min(cross * selectivity, cross))
 
     def join_selectivity(
         self,
@@ -288,189 +238,3 @@ class CardinalityEstimator:
         if stats is None:
             return None
         return stats.distinct(expression.name)
-
-    def _key_column_stats(
-        self,
-        expression: Expression,
-        stats_by_qualifier: Mapping[str, Optional[TableStatistics]],
-    ) -> Optional[ColumnStatistics]:
-        """The column statistics behind a join-key expression, if plain."""
-        if not isinstance(expression, ColumnRef) or expression.is_positional:
-            return None
-        if expression.qualifier is None:
-            return None
-        stats = stats_by_qualifier.get(expression.qualifier)
-        if stats is None:
-            return None
-        return stats.column(expression.name)
-
-
-class PessimisticEstimator(CardinalityEstimator):
-    """UES-style upper-bound estimation (docs/optimizer.md § "Pessimistic
-    upper bounds").
-
-    Every estimate this class produces is a **guaranteed upper bound** on
-    the actual row count at planning time:
-
-    * filter selectivities are sound caps — an equality against a literal
-      is bounded by the MCV frequency bound of the literal, ``AND`` takes
-      the ``min`` of its sides (independence would *under*-estimate
-      correlated predicates), and anything unbounded keeps selectivity 1;
-    * a join ``S ⨝ (S.a = R.b) R`` is bounded by
-      ``min(|S| · MF_R(b), |R| · MF_S(a))`` where ``MF`` is the top
-      frequency of the join key — each ``S``-row matches at most
-      ``MF_R(b)`` rows of ``R`` and vice versa;
-    * through a left-deep tree the bound propagates via a **frequency
-      profile**: per base relation, the maximum factor by which one of its
-      rows can have been duplicated so far, which caps ``MF`` of its
-      columns inside the intermediate result.
-
-    Planning by bounds sacrifices accuracy on uniform data to make the
-    worst case impossible: the enumerator can no longer pick a plan whose
-    skew-driven blowup the average-case formulas missed.
-    """
-
-    pessimistic = True
-
-    # -- sound filter bounds ----------------------------------------------------
-
-    def conjunction_selectivity(
-        self, conjuncts, stats: Optional[TableStatistics]
-    ) -> float:
-        # min, not product: the rows satisfying every conjunct are at most
-        # the rows satisfying the most selective one (independence is an
-        # average-case assumption, not a bound).
-        selectivity = 1.0
-        for conjunct in conjuncts:
-            selectivity = min(
-                selectivity, self.predicate_selectivity(conjunct, stats)
-            )
-        return selectivity
-
-    def predicate_selectivity(
-        self, conjunct: Expression, stats: Optional[TableStatistics]
-    ) -> float:
-        if isinstance(conjunct, BinaryOp):
-            operator = conjunct.operator.upper()
-            if operator == "=":
-                return self._equality_bound(conjunct, stats)
-            if operator == "AND":
-                return min(
-                    self.predicate_selectivity(conjunct.left, stats),
-                    self.predicate_selectivity(conjunct.right, stats),
-                )
-            if operator == "OR":
-                return min(
-                    1.0,
-                    self.predicate_selectivity(conjunct.left, stats)
-                    + self.predicate_selectivity(conjunct.right, stats),
-                )
-        if isinstance(conjunct, IsNullExpression):
-            return self._null_bound(conjunct, stats)
-        # Ranges, inequalities, NOT, functions, subqueries: no sound cap
-        # below "keeps every row".
-        return 1.0
-
-    def _equality_bound(
-        self, conjunct: BinaryOp, stats: Optional[TableStatistics]
-    ) -> float:
-        for column_side, other_side in (
-            (conjunct.left, conjunct.right),
-            (conjunct.right, conjunct.left),
-        ):
-            if (
-                isinstance(column_side, ColumnRef)
-                and not column_side.is_positional
-                and isinstance(other_side, Literal)
-                and stats is not None
-                and stats.row_count > 0
-            ):
-                column_stats = stats.column(column_side.name)
-                if column_stats is not None and column_stats.mcv:
-                    bound = column_stats.frequency_bound(other_side.value)
-                    return min(1.0, bound / stats.row_count)
-        # ``col = col`` of the same relation (or an expression): every row
-        # may satisfy it, so the only sound cap is 1.
-        return 1.0
-
-    def _null_bound(
-        self, conjunct: IsNullExpression, stats: Optional[TableStatistics]
-    ) -> float:
-        operand = conjunct.operand
-        if (
-            stats is not None
-            and stats.row_count > 0
-            and isinstance(operand, ColumnRef)
-            and not operand.is_positional
-        ):
-            column_stats = stats.column(operand.name)
-            if column_stats is not None:
-                # Exact at snapshot time, hence a sound bound.
-                fraction = column_stats.nulls / stats.row_count
-                return max(0.0, 1.0 - fraction) if conjunct.negated else fraction
-        return 1.0
-
-    # -- bounded joins ----------------------------------------------------------
-
-    def leaf_profile(self, relation) -> Dict[str, float]:
-        # A base row appears at most once in its own leaf.
-        return {name: 1.0 for name in relation.names}
-
-    def join_rows(
-        self,
-        left_rows: float,
-        candidate,
-        left_keys,
-        right_keys,
-        stats_by_qualifier: Mapping[str, Optional[TableStatistics]],
-        left_profile: Mapping[str, float],
-        fingerprint: Optional[Tuple] = None,
-    ) -> Tuple[float, Mapping[str, float]]:
-        right_rows = max(0.0, candidate.est_rows)
-        cross = left_rows * right_rows
-        # Per-tuple fanouts: how many partners one row of each side can
-        # find.  A composite key is capped by its tightest column pair.
-        fanout_left: Optional[float] = None  # partners of one left row in R
-        fanout_right: Optional[float] = None  # partners of one R row on the left
-        for left_expr, right_expr in zip(left_keys, right_keys):
-            right_column = self._key_column_stats(right_expr, stats_by_qualifier)
-            if right_column is not None and right_column.mcv:
-                frequency = float(right_column.max_frequency)
-                fanout_left = (
-                    frequency if fanout_left is None else min(fanout_left, frequency)
-                )
-            left_column = self._key_column_stats(left_expr, stats_by_qualifier)
-            if left_column is not None and left_column.mcv:
-                multiplier = left_profile.get(left_expr.qualifier, 1.0)
-                frequency = float(left_column.max_frequency) * multiplier
-                fanout_right = (
-                    frequency if fanout_right is None else min(fanout_right, frequency)
-                )
-        # Unknown frequency (no stats, expression keys, cross join): the
-        # other side's full cardinality is the only sound fanout.
-        if fanout_left is None:
-            fanout_left = right_rows
-        if fanout_right is None:
-            fanout_right = left_rows
-        fanout_left = min(fanout_left, right_rows)
-        fanout_right = min(fanout_right, left_rows)
-        if right_keys:
-            bound = min(left_rows * fanout_left, right_rows * fanout_right, cross)
-        else:
-            bound = cross
-            fanout_left, fanout_right = right_rows, left_rows
-        profile: Dict[str, float] = {
-            qualifier: multiplier * fanout_left
-            for qualifier, multiplier in left_profile.items()
-        }
-        for name in candidate.names:
-            profile[name] = fanout_right
-        observed = self.feedback_rows(fingerprint)
-        if observed is not None:
-            # An observation is exact, so it can only tighten the bound.
-            bound = min(bound, observed)
-        return max(0.0, bound), profile
-
-    def leaf_rows(self, estimated: float, fingerprint: Optional[Tuple]) -> float:
-        observed = self.feedback_rows(fingerprint)
-        return estimated if observed is None else min(estimated, observed)

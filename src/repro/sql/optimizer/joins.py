@@ -23,12 +23,11 @@ out exactly as the heuristic planner would build them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from repro.relational.statistics import TableStatistics
 from repro.sql.ast import Expression
 from repro.sql.operators import Operator
-from repro.sql.optimizer.feedback import join_fingerprint
 
 __all__ = ["BaseRelation", "JoinTree", "JoinOrderEnumerator"]
 
@@ -54,9 +53,6 @@ class BaseRelation:
     est_rows: float = 0.0
     #: Estimated cost of materializing this leaf (scan or index scan + filter).
     est_cost: float = 0.0
-    #: Feedback fingerprint (:mod:`repro.sql.optimizer.feedback`); None when
-    #: feedback-driven re-optimization is off.
-    fingerprint: Optional[Tuple] = None
 
 
 @dataclass
@@ -78,9 +74,6 @@ class JoinTree:
     method: str = "hash"  # hash | index_nl | nested_loop | cross
     est_rows: float = 0.0
     est_cost: float = 0.0
-    #: Feedback fingerprint of this node's (relations, conjuncts) set; None
-    #: when feedback-driven re-optimization is off.
-    fingerprint: Optional[Tuple] = None
 
     def leaf_order(self) -> Tuple[int, ...]:
         """The syntactic positions of the leaves, left to right."""
@@ -102,14 +95,6 @@ class _State:
     cost: float
     used: FrozenSet[int]  # ids of consumed conjuncts
     order: Tuple[int, ...]
-    #: Frequency profile: qualifier -> worst-case duplication factor of one
-    #: base row inside this intermediate (pessimistic estimator only).
-    profile: Dict[str, float] = field(default_factory=dict)
-    #: Feedback-fingerprint material: the leaf fingerprints joined so far
-    #: and the repr-fingerprints of the conjuncts consumed (empty tuples
-    #: when feedback is off).
-    leaves: Tuple = ()
-    conjunct_reprs: Tuple[str, ...] = ()
 
 
 class JoinOrderEnumerator:
@@ -213,9 +198,6 @@ class JoinOrderEnumerator:
             cost=relation.est_cost,
             used=frozenset(),
             order=(relation.position,),
-            profile=self.estimator.leaf_profile(relation),
-            leaves=(relation.fingerprint,) if relation.fingerprint else (),
-            conjunct_reprs=(),
         )
 
     def _extend(
@@ -235,27 +217,12 @@ class JoinOrderEnumerator:
             right_keys = tuple(right_list)
             used_conjuncts = tuple(used_list)
 
-        # Fingerprint of the joined node: order-free over (leaves, consumed
-        # conjuncts), so feedback recorded under one join order prices every
-        # other order of the same node (tracked only when feedback is on).
-        fingerprint = None
-        leaves = state.leaves
-        conjunct_reprs = state.conjunct_reprs
-        if state.leaves and candidate.fingerprint:
-            leaves = state.leaves + (candidate.fingerprint,)
-            conjunct_reprs = state.conjunct_reprs + tuple(
-                repr(conjunct) for conjunct in used_conjuncts
-            )
-            fingerprint = join_fingerprint(leaves, conjunct_reprs)
-
-        output_rows, profile = self.estimator.join_rows(
+        output_rows = self.estimator.join_rows(
             left_rows=state.rows,
             candidate=candidate,
             left_keys=left_keys,
             right_keys=right_keys,
             stats_by_qualifier=self._stats_by_qualifier,
-            left_profile=state.profile,
-            fingerprint=fingerprint,
         )
 
         index_ok = (
@@ -281,7 +248,6 @@ class JoinOrderEnumerator:
             method=chosen.method,
             est_rows=output_rows,
             est_cost=state.cost + step_cost,
-            fingerprint=fingerprint,
         )
         return _State(
             tree=tree,
@@ -290,9 +256,6 @@ class JoinOrderEnumerator:
             cost=state.cost + step_cost,
             used=state.used | {id(conjunct) for conjunct in used_conjuncts},
             order=state.order + (candidate.position,),
-            profile=dict(profile),
-            leaves=leaves,
-            conjunct_reprs=conjunct_reprs,
         )
 
     @staticmethod

@@ -46,9 +46,8 @@ from repro.sql.operators import (
     SubqueryScanOp,
     ValuesOp,
 )
-from repro.sql.optimizer.cardinality import CardinalityEstimator, PessimisticEstimator
+from repro.sql.optimizer.cardinality import CardinalityEstimator
 from repro.sql.optimizer.cost import CostModel
-from repro.sql.optimizer.feedback import leaf_fingerprint
 from repro.sql.optimizer.joins import BaseRelation, JoinOrderEnumerator, JoinTree
 from repro.sql.optimizer.physical import (
     CostBasedOperatorSelection,
@@ -90,16 +89,11 @@ class CostBasedPlanner(Planner):
         config: Optional[OptimizerConfig] = None,
         physical_selection: Optional[PhysicalOperatorSelection] = None,
         cost_model: Optional[CostModel] = None,
-        feedback=None,
     ) -> None:
         super().__init__(catalog, optimize=optimize, auto_index=auto_index)
         self.optimizer_config = config if config is not None else OptimizerConfig()
         self.cost_model = cost_model if cost_model is not None else CostModel()
-        #: The engine's FeedbackCache when feedback-driven re-optimization
-        #: is enabled (docs/optimizer.md); observed cardinalities override
-        #: the estimator's formulas per plan-node fingerprint.
-        self.feedback = feedback
-        self.estimator = self._make_estimator()
+        self.estimator = CardinalityEstimator(catalog)
         self.physical_selection = (
             physical_selection
             if physical_selection is not None
@@ -114,12 +108,6 @@ class CostBasedPlanner(Planner):
         #: the fingerprint, so a reused planner starts each plan fresh).
         self._planning = False
 
-    def _make_estimator(self) -> CardinalityEstimator:
-        """The estimator the config selects, wired to the feedback cache."""
-        if self.optimizer_config.estimator == "pessimistic":
-            return PessimisticEstimator(self.catalog, feedback=self.feedback)
-        return CardinalityEstimator(self.catalog, feedback=self.feedback)
-
     # -- entry point ----------------------------------------------------------
 
     def plan(self, query) -> Operator:
@@ -129,7 +117,7 @@ class CostBasedPlanner(Planner):
             self.stats_fingerprint = {}
             # Fresh statistics snapshots per plan: a reused planner must
             # see current table sizes, not the ones cached last time.
-            self.estimator = self._make_estimator()
+            self.estimator = CardinalityEstimator(self.catalog)
         try:
             plan = super().plan(query)
         finally:
@@ -176,17 +164,7 @@ class CostBasedPlanner(Planner):
                 join_conjuncts.append(conjunct)
             else:
                 target.pushed.append(conjunct)
-        track_feedback = self.feedback is not None
         for relation in relations:
-            if track_feedback:
-                relation.fingerprint = leaf_fingerprint(
-                    relation.names,
-                    relation.table_name,
-                    relation.statistics.size_class
-                    if relation.statistics is not None
-                    else None,
-                    (repr(conjunct) for conjunct in relation.pushed),
-                )
             self._estimate_leaf(relation)
         stats_by_qualifier = {
             name: relation.statistics
@@ -281,9 +259,7 @@ class CostBasedPlanner(Planner):
         selectivity = self.estimator.conjunction_selectivity(
             relation.pushed, relation.statistics
         )
-        relation.est_rows = self.estimator.leaf_rows(
-            base_rows * selectivity, relation.fingerprint
-        )
+        relation.est_rows = base_rows * selectivity
         scan_cost = self.cost_model.scan(base_rows)
         if relation.pushed:
             scan_cost += self.cost_model.filter(base_rows, len(relation.pushed))
@@ -365,7 +341,6 @@ class CostBasedPlanner(Planner):
                 residual=None,
             )
             if index_join is not None:
-                index_join.feedback_key = node.fingerprint
                 return self._annotate(index_join, node.est_rows, node.est_cost)
             method = "hash"  # repair an inadmissible assignment
         elif method == "index_nl":
@@ -391,7 +366,6 @@ class CostBasedPlanner(Planner):
             )
         else:
             joined = NestedLoopJoinOp(left_op, right_op, join_type="CROSS")
-        joined.feedback_key = node.fingerprint
         return self._annotate(joined, node.est_rows, node.est_cost)
 
     def _build_leaf(self, relation: BaseRelation, assignment) -> Operator:
@@ -403,7 +377,6 @@ class CostBasedPlanner(Planner):
             if remaining:
                 op = FilterOp(op, _combine_conjuncts(remaining))
                 op = self._annotate(op, relation.est_rows, relation.est_cost)
-            op.feedback_key = relation.fingerprint
             return op
         op = self._annotate(
             relation.operator,
@@ -413,7 +386,6 @@ class CostBasedPlanner(Planner):
         if relation.pushed:
             op = FilterOp(op, _combine_conjuncts(relation.pushed))
             op = self._annotate(op, relation.est_rows, relation.est_cost)
-        op.feedback_key = relation.fingerprint
         return op
 
     @staticmethod
@@ -446,10 +418,6 @@ class CostBasedPlanner(Planner):
             for child in plan.children()
             if child.estimated_rows is not None
         )
-        # Under the pessimistic estimator every fallback below must stay a
-        # sound upper bound, so the average-case default selectivities are
-        # replaced by "keeps everything" / cross-product caps.
-        pessimistic = self.estimator.pessimistic
         rows: Optional[float] = None
         if isinstance(plan, ScanOp):
             rows = self.estimator.base_rows(plan.table_name)
@@ -457,45 +425,23 @@ class CostBasedPlanner(Planner):
         elif isinstance(plan, IndexScanOp):
             stats = self.estimator.table_statistics(plan.table_name)
             base = float(stats.row_count) if stats is not None else self.estimator.DEFAULT_ROWS
-            if pessimistic:
-                # One probe returns at most the key columns' top frequency.
-                frequencies = [
-                    float(stats.column(column).max_frequency)
-                    for column in plan.key_columns
-                    if stats is not None and stats.column(column) is not None
-                ] if stats is not None else []
-                rows = min(frequencies) if frequencies else base
-            else:
-                rows = base * (self.estimator.DEFAULT_EQUALITY ** len(plan.key_columns))
+            rows = base * (self.estimator.DEFAULT_EQUALITY ** len(plan.key_columns))
             child_cost = self.cost_model.index_scan(rows)
         elif isinstance(plan, ValuesOp):
             rows = float(len(plan.rows))
         elif len(child_rows) != len(plan.children()) or not child_rows:
             return  # some child has no estimate: leave this subtree blank
         elif isinstance(plan, FilterOp):
-            rows = child_rows[0] * (1.0 if pessimistic else self.estimator.DEFAULT)
+            rows = child_rows[0] * self.estimator.DEFAULT
         elif isinstance(plan, IndexNestedLoopJoinOp):
             right = self.estimator.base_rows(plan.table_name)
-            rows = child_rows[0] * right
-            if not pessimistic:
-                rows *= self.estimator.DEFAULT_JOIN
+            rows = child_rows[0] * right * self.estimator.DEFAULT_JOIN
         elif isinstance(plan, HashJoinOp):
-            rows = child_rows[0] * child_rows[1]
-            if pessimistic:
-                if plan.join_type == "LEFT":
-                    rows = max(child_rows[0], rows)
-            else:
-                rows *= self.estimator.DEFAULT_JOIN
+            rows = child_rows[0] * child_rows[1] * self.estimator.DEFAULT_JOIN
         elif isinstance(plan, NestedLoopJoinOp):
             pairs = child_rows[0] * child_rows[1]
             if plan.join_type == "CROSS":
                 rows = pairs
-            elif pessimistic:
-                # INNER keeps at most the cross product; LEFT additionally
-                # keeps every unmatched left row.
-                rows = pairs
-                if plan.join_type == "LEFT":
-                    rows = max(child_rows[0], pairs)
             else:
                 rows = pairs * self.estimator.DEFAULT_JOIN
                 if plan.join_type == "LEFT":
@@ -524,8 +470,6 @@ class CostBasedPlanner(Planner):
             return min(float(plan.limit), child_rows[0])
         if isinstance(plan, AggregateOp):
             if plan.group_by:
-                if self.estimator.pessimistic:
-                    return child_rows[0]  # at most one group per input row
                 return max(1.0, child_rows[0] * 0.1)
             return 1.0
         if isinstance(plan, UnionOp):

@@ -93,17 +93,15 @@ class EstimationStats:
     :class:`ExecutionStats` counters vanish with them), forked cluster
     workers count independently, and :meth:`reset` is the explicit hook
     benchmarks use between phases.  ``checks`` counts every
-    estimate-vs-actual comparison made by EXPLAIN ANALYZE and the feedback
-    observation pass; ``underestimates`` / ``overestimates`` count the
-    comparisons off by more than a q-error of 2; ``replans`` counts
-    feedback-driven plan invalidations (mutation is plain int arithmetic
-    under the GIL, matching the other informational counters).
+    estimate-vs-actual comparison made by EXPLAIN ANALYZE;
+    ``underestimates`` / ``overestimates`` count the comparisons off by
+    more than a q-error of 2 (mutation is plain int arithmetic under the
+    GIL, matching the other informational counters).
     """
 
     checks: int = 0
     underestimates: int = 0
     overestimates: int = 0
-    replans: int = 0
 
     def add(self, checks: int, underestimates: int, overestimates: int) -> None:
         """Accumulate one instrumented execution's estimation counters."""
@@ -115,7 +113,6 @@ class EstimationStats:
         self.checks = 0
         self.underestimates = 0
         self.overestimates = 0
-        self.replans = 0
 
     def as_dict(self) -> dict:
         return asdict(self)

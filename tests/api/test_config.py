@@ -8,6 +8,7 @@ from repro.api import (
     CacheConfig,
     ConfigError,
     EngineConfig,
+    OptimizerConfig,
     ServerConfig,
     SessionConfig,
     StorageConfig,
@@ -72,8 +73,9 @@ class TestConfigValidation:
             SQLExecutor(sample_db, config={"optimize": False})
 
 
-#: Every keyword alias the typed configs replaced, per entry point.  Each is
-#: now an ordinary unknown keyword argument.
+#: Every keyword alias the typed configs replaced, per entry point, plus the
+#: config fields deleted since.  Each is now an ordinary unknown keyword
+#: argument.
 REMOVED_ALIASES = [
     *(
         ("HildaEngine", kwarg)
@@ -97,6 +99,8 @@ REMOVED_ALIASES = [
     *(("serve", kwarg) for kwarg in ("host", "port", "verbose")),
     ("CacheConfig", "delta_reactivation"),
     ("PageRenderer", "dependency_tracking"),
+    *(("OptimizerConfig", kwarg) for kwarg in ("estimator", "feedback", "reopt_q_error")),
+    ("StorageConfig", "verify_recovery"),
 ]
 
 
@@ -111,6 +115,8 @@ def test_removed_alias_raises_type_error(owner, kwarg, guestbook_program, sample
         ),
         "serve": lambda **kw: serve(HildaApplication(guestbook_program), **kw),
         "CacheConfig": lambda **kw: CacheConfig(**kw),
+        "OptimizerConfig": lambda **kw: OptimizerConfig(**kw),
+        "StorageConfig": lambda **kw: StorageConfig(**kw),
         "PageRenderer": lambda **kw: PageRenderer(HildaEngine(guestbook_program), **kw),
     }
     with pytest.raises(TypeError, match=kwarg):

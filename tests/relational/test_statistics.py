@@ -124,8 +124,8 @@ class TestMostCommonValues:
                 pid += 1
         column = table.statistics().column("city")
         assert dict(column.mcv) == {"ithaca": 5, "boston": 3, "nyc": 1}
-        assert column.max_frequency == 5
-        assert column.non_null_rows == 9
+        assert column.mcv[0] == ("ithaca", 5)  # most frequent first
+        assert column.mcv_total == 9
         assert column.mcv_frequency("boston") == 3
         assert column.mcv_frequency("chicago") is None
 
@@ -144,33 +144,6 @@ class TestMostCommonValues:
         assert counts[f"c{MCV_SIZE + 4}"] == MCV_SIZE + 5
         assert all(count > 5 for count in counts.values())
 
-    def test_frequency_bound_for_values_outside_the_list(self):
-        table = _people()
-        pid = 0
-        for value in range(15):
-            for _ in range(16 - value):  # 16, 15, ..., 2 occurrences
-                table.insert((pid, f"c{value}", None))
-                pid += 1
-        column = table.statistics().column("city")
-        # Any value outside the 10 listed MCVs occurs at most as often as
-        # the least-frequent listed one, and at most the leftover mass.
-        least_listed = min(count for _, count in column.mcv)
-        bound = column.frequency_bound("not-listed")
-        assert bound == min(least_listed, column.non_null_rows - column.mcv_total)
-        # A listed value is bounded by its exact count.
-        heaviest = max(column.mcv, key=lambda item: item[1])[0]
-        assert column.frequency_bound(heaviest) == 16
-
-    def test_frequency_bound_when_mcv_covers_every_distinct_value(self):
-        table = _people()
-        table.insert((1, "ithaca", None))
-        table.insert((2, "ithaca", None))
-        table.insert((3, "boston", None))
-        column = table.statistics().column("city")
-        # Both distinct values are listed: anything else cannot occur.
-        assert column.frequency_bound("chicago") == 0
-        assert column.frequency_bound() == 2  # no value: the global max
-
     def test_mcv_follows_deletes(self):
         table = _people()
         for pid in range(8):
@@ -178,7 +151,7 @@ class TestMostCommonValues:
         table.delete_where(lambda row: row[1] == "ithaca" and row[0] >= 2)
         column = table.statistics().column("city")
         assert dict(column.mcv) == {"ithaca": 2, "boston": 2}
-        assert column.max_frequency == 2
+        assert column.mcv[0][1] == 2
 
 
 class TestLazyArming:

@@ -200,6 +200,35 @@ class TestNullSemantics:
         )
         assert rows == []  # NULL in the list makes NOT IN unknown for every row
 
+    @pytest.mark.parametrize("negated", [False, True])
+    def test_null_operand_over_an_empty_subquery_agrees_with_sqlite(self, negated):
+        # Over an empty set IN is FALSE and NOT IN is TRUE, even for a NULL
+        # operand: NOT IN keeps every row (the NULL one included), IN none.
+        import sqlite3
+
+        from repro.relational.database import Database
+        from repro.relational.schema import Column, TableSchema
+        from repro.relational.types import DataType
+
+        rows = [(1, 10), (2, None), (3, 30), (4, 40)]
+        db = Database()
+        db.create_table(
+            TableSchema("r", [Column("k", DataType.INT), Column("a", DataType.INT)], ["k"])
+        )
+        db.create_table(TableSchema("s", [Column("c", DataType.INT)]))
+        db.insert_many("r", rows)
+        lite = sqlite3.connect(":memory:")
+        lite.execute("CREATE TABLE r (k INTEGER PRIMARY KEY, a INTEGER)")
+        lite.execute("CREATE TABLE s (c INTEGER)")
+        lite.executemany("INSERT INTO r VALUES (?, ?)", rows)
+
+        operator = "NOT IN" if negated else "IN"
+        query = f"SELECT r.k FROM r WHERE r.a {operator} (SELECT s.c FROM s) ORDER BY r.k"
+        expected = lite.execute(query).fetchall()
+        lite.close()
+        assert expected == ([(1,), (2,), (3,), (4,)] if negated else [])
+        assert SQLExecutor(db).query_rows(query) == expected
+
 
 class TestStatsAndCaching:
     def test_stats_accumulate(self, sample_db):

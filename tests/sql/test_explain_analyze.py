@@ -107,6 +107,21 @@ class TestExplainAnalyze:
         # than the q-error-of-2 reporting threshold.
         assert max(values) > 2.0
 
+    def test_estimation_stats_are_engine_scoped(self):
+        # EXPLAIN ANALYZE feeds the totals of the caches it plans through,
+        # so two engines (two SQLCaches) count independently.
+        first = SQLExecutor(sample_db())
+        second = SQLExecutor(sample_db())
+        first.explain(JOIN, analyze=True)
+        assert first.caches.estimation.checks > 0
+        assert second.caches.estimation.checks == 0
+        first.caches.estimation.reset()
+        assert first.caches.estimation.as_dict() == {
+            "checks": 0,
+            "underestimates": 0,
+            "overestimates": 0,
+        }
+
 
 class TestTablesReadLine:
     def test_footprint_is_deterministically_sorted(self):

@@ -3,16 +3,11 @@
 Across generated multi-join queries on the MiniCMS persistent schemas,
 cost-based plans, heuristic plans and unoptimized plans must agree on the
 row *multiset* — and on the exact row order when the query has an ORDER BY
-over a total ordering of the output.  The sweep also covers the
-``estimator="pessimistic"`` upper-bound mode (which must additionally
-never produce an operator whose actual rows exceed its estimate) and
-feedback-driven re-optimization (which may swap plans *between*
-executions but never rows).
+over a total ordering of the output.
 """
 
 from __future__ import annotations
 
-import re
 from collections import Counter
 
 from hypothesis import given, settings, strategies as st
@@ -152,84 +147,3 @@ def test_auto_indexed_cost_plans_agree_with_unoptimized(course, staff, student, 
     indexed = SQLExecutor(db, config=EngineConfig(auto_index=True)).query_rows(query)
     unoptimized = SQLExecutor(db, config=EngineConfig(optimize=False)).query_rows(query)
     assert Counter(indexed) == Counter(unoptimized)
-
-
-#: ``(est rows=E ...)  [actual rows=T loops=L]`` — one annotated operator.
-_ANNOTATED = re.compile(r"est rows=(\d+)[^[]*\[actual rows=(\d+) loops=(\d+)\]")
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    course=courses,
-    staff=staff_rows,
-    student=student_rows,
-    assign=assign_rows,
-    from_order=st.permutations(["course", "staff", "student", "assign"]),
-    include_assign=st.booleans(),
-    predicate=st.booleans(),
-    order_by=st.booleans(),
-)
-def test_pessimistic_plans_agree_and_never_exceed_their_bounds(
-    course, staff, student, assign, from_order, include_assign, predicate, order_by
-):
-    """``estimator="pessimistic"`` is an *upper-bound* estimator: results
-    must match the baseline, and no operator may produce more rows than it
-    estimated (the UES soundness property, docs/optimizer.md)."""
-    db = build_db(course, staff, student, assign)
-    query = build_query(from_order, include_assign, predicate, order_by)
-
-    pessimistic = SQLExecutor(
-        db,
-        config=EngineConfig(
-            optimizer=OptimizerConfig(strategy="cost", estimator="pessimistic")
-        ),
-    )
-    rows = pessimistic.query_rows(query)
-    unoptimized = SQLExecutor(db, config=EngineConfig(optimize=False)).query_rows(query)
-    assert Counter(rows) == Counter(unoptimized)
-    if order_by:
-        assert rows == unoptimized
-
-    for line in pessimistic.explain(query, analyze=True).splitlines():
-        match = _ANNOTATED.search(line)
-        if match is None:
-            continue
-        estimated, total_rows, loops = (int(group) for group in match.groups())
-        # ``est rows`` prints rounded, so allow the half-unit rounding slack.
-        assert total_rows / max(1, loops) <= estimated + 0.5, line
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    course=courses,
-    staff=staff_rows,
-    student=student_rows,
-    assign=assign_rows,
-    from_order=st.permutations(["course", "staff", "student", "assign"]),
-    include_assign=st.booleans(),
-    predicate=st.booleans(),
-    order_by=st.booleans(),
-)
-def test_feedback_replanning_preserves_result_sets(
-    course, staff, student, assign, from_order, include_assign, predicate, order_by
-):
-    """Feedback-driven re-optimization may swap plans between executions of
-    the same query; the observed execution, any re-planned execution and the
-    steady state must all return the baseline rows."""
-    db = build_db(course, staff, student, assign)
-    query = build_query(from_order, include_assign, predicate, order_by)
-
-    unoptimized = SQLExecutor(db, config=EngineConfig(optimize=False)).query_rows(query)
-    executor = SQLExecutor(
-        db,
-        config=EngineConfig(
-            # A tight threshold so small-sample estimation misses actually
-            # trigger the invalidate/re-plan path under test.
-            optimizer=OptimizerConfig(strategy="cost", feedback=True, reopt_q_error=1.5)
-        ),
-    )
-    for _ in range(3):  # observe -> re-plan -> converge
-        rows = executor.query_rows(query)
-        assert Counter(rows) == Counter(unoptimized)
-        if order_by:
-            assert rows == unoptimized

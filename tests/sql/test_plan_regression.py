@@ -34,16 +34,13 @@ EXPECTATIONS_PATH = os.path.join(os.path.dirname(__file__), "plan_expectations.j
 #: label so expectation diffs stay readable).
 CONFIGS = {
     "systemr": EngineConfig(optimizer=OptimizerConfig(strategy="cost")),
-    "pessimistic": EngineConfig(
-        optimizer=OptimizerConfig(strategy="cost", estimator="pessimistic")
-    ),
     "heuristic": EngineConfig(optimizer=OptimizerConfig.heuristic()),
     "auto_index": EngineConfig(auto_index=True),
 }
 
-#: (case name, config label, SQL) — the pinned corpus.  Queries cover the
-#: shapes the estimators disagree on: uniform joins, skewed joins, MCV-able
-#: equality filters, and multi-join orderings.
+#: (case name, config label, SQL) — the pinned corpus.  Queries cover
+#: uniform joins, skewed joins, MCV-able equality filters, and multi-join
+#: orderings.
 CASES = [
     (
         "uniform_two_way_systemr",
@@ -57,20 +54,8 @@ CASES = [
         "WHERE O.uid = U.uid AND O.status = 'open'",
     ),
     (
-        "mcv_filter_join_pessimistic",
-        "pessimistic",
-        "SELECT O.oid, U.uname FROM orders O, users U "
-        "WHERE O.uid = U.uid AND O.status = 'open'",
-    ),
-    (
         "skewed_three_way_systemr",
         "systemr",
-        "SELECT U.uname, I.sku FROM users U, orders O, items I "
-        "WHERE O.uid = U.uid AND I.oid = O.oid AND U.rid = 0",
-    ),
-    (
-        "skewed_three_way_pessimistic",
-        "pessimistic",
         "SELECT U.uname, I.sku FROM users U, orders O, items I "
         "WHERE O.uid = U.uid AND I.oid = O.oid AND U.rid = 0",
     ),
@@ -186,8 +171,8 @@ def record_expectation(name: str, document: dict) -> None:
     ("name", "config_label", "query"), CASES, ids=[case[0] for case in CASES]
 )
 def test_plan_is_pinned(request, name, config_label, query):
-    # Each case plans against a *fresh* corpus so auto-created indexes or
-    # feedback from one case can never leak into another's plan.
+    # Each case plans against a *fresh* corpus so auto-created indexes
+    # from one case can never leak into another's plan.
     executor = SQLExecutor(corpus_db(), config=CONFIGS[config_label])
     plan = executor.explain(query).splitlines()
     document = {"config": config_label, "query": query, "plan": plan}

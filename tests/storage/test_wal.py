@@ -715,23 +715,6 @@ class TestRecoveryIntegrityGate:
             recovered.persistent_table("tally")
         recovered.close()
 
-    def test_verify_recovery_false_skips_the_gate(
-        self, counter_program, tmp_path, monkeypatch
-    ):
-        engine = make_engine(counter_program, tmp_path)
-        sid = engine.start_session({"bump": [(5,)]})
-        bump(engine, sid, 5)
-        engine.close()
-
-        from repro.relational.table import Table
-
-        monkeypatch.setattr(
-            Table, "check_integrity", lambda self: ["would fail if consulted"]
-        )
-        recovered = make_engine(counter_program, tmp_path, verify_recovery=False)
-        assert recovered.persistent_table("tally").rows  # no RecoveryError
-        recovered.close()
-
     def test_corrupted_snapshot_fails_engine_construction(
         self, counter_program, tmp_path
     ):
